@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="backpressure bound on concurrently dispatched work items "
-        "(default: 2 x workers)",
+        "(default: 2 x workers; 1 when running inline)",
     )
     serve.add_argument(
         "--timeout-s",

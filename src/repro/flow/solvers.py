@@ -61,7 +61,9 @@ class SolverBackend:
     concrete routing mechanism instead of an optimal routing: their
     results carry a mechanism gap by design, and the fidelity
     differential gate additionally checks them against per-family
-    calibrated bands.
+    calibrated bands. ``version`` is the backend's code version, part of
+    every result-cache key: bump it when a change to the backend can
+    change a number it returns, so cached results of the old code miss.
     """
 
     name: str
@@ -71,6 +73,7 @@ class SolverBackend:
     aliases: tuple = ()
     estimate: bool = False
     simulation: bool = False
+    version: int = 1
 
 
 _REGISTRY: dict[str, SolverBackend] = {}
@@ -101,11 +104,13 @@ def register_solver(
     aliases: "tuple | list" = (),
     estimate: bool = False,
     simulation: bool = False,
+    version: int = 1,
 ) -> SolverBackend:
     """Register a throughput backend under a canonical key.
 
     Existing keys (and aliases) cannot be overwritten — raise instead of
-    silently shadowing a built-in.
+    silently shadowing a built-in. ``version`` enters the result-cache
+    key (see :class:`SolverBackend`).
     """
     key = name.strip().lower().replace("-", "_")
     if key in _REGISTRY or key in _ALIASES:
@@ -118,6 +123,7 @@ def register_solver(
         aliases=tuple(aliases),
         estimate=estimate,
         simulation=simulation,
+        version=version,
     )
     _REGISTRY[key] = backend
     for alias in backend.aliases:
@@ -260,7 +266,7 @@ from repro.estimate.spectral import estimate_spectral  # noqa: E402
 register_solver(
     "estimate_bound",
     estimate_bound,
-    description="capacity-charging ASPL bound estimate (sparse BFS, N=10k)",
+    description="capacity-charging ASPL bound estimate (bit-parallel BFS)",
     exact=False,
     estimate=True,
 )

@@ -128,9 +128,18 @@ def demand_hop_sum(
     (each delivered unit consumes at least its shortest-path hops of
     capacity) and equals ``demand_weighted_aspl * total_demand``. Unlike
     the pure-python BFS in :func:`demand_weighted_aspl`, distances come
-    from :mod:`scipy.sparse.csgraph` in source batches of ``chunk_size``
-    rows, which keeps N = 10,000 networks within seconds and bounded
-    memory. Raises :class:`TopologyError` on an unroutable demand.
+    from a bit-parallel multi-source BFS over the CSR adjacency: each
+    batch of ``chunk_size`` sources is packed 64 to a ``uint64`` word
+    and advanced one level per pass over the edges, and hop counts are
+    read only at the batch's demand pairs, never as N-wide distance
+    rows. ``chunk_size`` bounds the level buffer at
+    ``nnz * ceil(chunk_size / 64) * 8`` bytes. Pairs are summed source
+    by source (sources ordered by ``repr``), destinations in demand
+    order, so the result is bit-identical to a per-source
+    ``scipy.sparse.csgraph`` BFS summed the same way (the reference of
+    ``tests/test_differential_hop_sum.py``). Raises
+    :class:`TopologyError` on an unroutable demand, naming the first
+    such pair in that order.
 
     ``max_sources`` caps the number of BFS roots: when set below the
     number of distinct demand sources, that many sources are drawn
@@ -149,7 +158,6 @@ def demand_hop_sum(
         check_positive_int(max_sources, "max_sources")
     import networkx as nx
     import numpy as np
-    from scipy.sparse import csgraph
 
     nodes = topo.switches
     index = {node: i for i, node in enumerate(nodes)}
@@ -179,24 +187,95 @@ def demand_hop_sum(
         )
         scale = len(sources) / max_sources
         sources = [sources[i] for i in picks]
-    source_rows = np.fromiter(
-        (index[u] for u in sources), dtype=np.int64, count=len(sources)
-    )
+    # The kernel pulls each node's frontier from its in-neighbours, which
+    # are the rows of the transpose: the same direction csgraph follows.
+    in_edges = adjacency.T.tocsr()
     total = 0.0
     for start in range(0, len(sources), chunk_size):
-        batch = source_rows[start : start + chunk_size]
-        distances = csgraph.dijkstra(adjacency, unweighted=True, indices=batch)
-        for offset, source in enumerate(sources[start : start + chunk_size]):
-            row = distances[offset]
+        batch = sources[start : start + chunk_size]
+        pair_source: list = []
+        pair_dest: list = []
+        pair_units: list = []
+        for offset, source in enumerate(batch):
             for dest_row, units in by_source[source]:
-                hops = row[dest_row]
-                if not np.isfinite(hops):
-                    raise TopologyError(
-                        f"demand {source!r}->{nodes[dest_row]!r} has no path "
-                        f"in {topo.name!r}"
-                    )
-                total += units * float(hops)
+                pair_source.append(offset)
+                pair_dest.append(dest_row)
+                pair_units.append(units)
+        hops = _batch_pair_hops(
+            in_edges,
+            np.fromiter((index[u] for u in batch), np.int64, len(batch)),
+            np.asarray(pair_source, dtype=np.int64),
+            np.asarray(pair_dest, dtype=np.int64),
+        )
+        unreachable = np.flatnonzero(hops < 0)
+        if unreachable.size:
+            first = int(unreachable[0])
+            raise TopologyError(
+                f"demand {batch[pair_source[first]]!r}->"
+                f"{nodes[pair_dest[first]]!r} has no path in {topo.name!r}"
+            )
+        for units, pair_hops in zip(pair_units, hops.tolist()):
+            total += units * float(pair_hops)
     return total * scale
+
+
+def _batch_pair_hops(in_edges, source_rows, pair_source, pair_dest):
+    """Hop distance of each demand pair of one source batch (-1: no path).
+
+    Bit-parallel multi-source BFS: bit ``j`` of the ``uint64`` word
+    ``j // 64`` in a node's row stands for batch source ``j``. Each level
+    ORs the frontier rows of every node's in-neighbours (the rows of
+    ``in_edges``, CSR) and masks out bits already visited, so one pass
+    over the edges advances all sources at once. Pair ``p`` — batch
+    source ``pair_source[p]`` to node ``pair_dest[p]`` — is read only on
+    the level its bit first reaches the destination, and the search
+    stops once every pair is resolved or the frontier empties. The level
+    gather holds ``nnz * ceil(len(source_rows) / 64)`` words.
+    """
+    import numpy as np
+
+    num_nodes = in_edges.shape[0]
+    words = -(-len(source_rows) // 64)
+    bit = np.arange(len(source_rows))
+    frontier = np.zeros((num_nodes, words), dtype=np.uint64)
+    frontier[source_rows, bit >> 6] = np.left_shift(
+        np.uint64(1), (bit & 63).astype(np.uint64)
+    )
+    visited = frontier.copy()
+    pair_word = pair_source >> 6
+    pair_bit = np.left_shift(np.uint64(1), (pair_source & 63).astype(np.uint64))
+    # ``reduceat`` mis-reads empty segments (it returns the next element,
+    # and raises on an index equal to nnz), so only rows with in-edges
+    # are reduced; the rest can never be reached past level 0.
+    degree = np.diff(in_edges.indptr)
+    reduced_rows = np.flatnonzero(degree)
+    starts = in_edges.indptr[reduced_rows]
+    all_rows_reduced = reduced_rows.size == num_nodes
+    hops = np.full(len(pair_dest), -1, dtype=np.int64)
+    pending = np.arange(len(pair_dest))
+    level = 0
+    while pending.size:
+        hit = (
+            frontier[pair_dest[pending], pair_word[pending]] & pair_bit[pending]
+        ) != 0
+        hops[pending[hit]] = level
+        pending = pending[~hit]
+        if not pending.size:
+            break
+        reached = np.bitwise_or.reduceat(
+            frontier[in_edges.indices], starts, axis=0
+        )
+        if all_rows_reduced:
+            frontier = reached
+        else:
+            frontier = np.zeros_like(visited)
+            frontier[reduced_rows] = reached
+        frontier &= ~visited
+        if not frontier.any():
+            break
+        visited |= frontier
+        level += 1
+    return hops
 
 
 class DemandHopTracker:

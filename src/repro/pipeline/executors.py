@@ -58,6 +58,10 @@ class GridExecutor(Protocol):
 
     #: Parallel width (sizes the scheduler's default in-flight bound).
     workers: int
+    #: Whether :meth:`submit` runs the item before returning; the
+    #: scheduler then keeps one item in flight so each publishes before
+    #: the next starts.
+    inline: bool
     #: Whether an abandoned (timed-out) item leaks a worker slot unless
     #: the pool is torn down and rebuilt.
     reset_on_timeout: bool
@@ -127,6 +131,7 @@ class SerialExecutor:
     """
 
     workers = 1
+    inline = True
     reset_on_timeout = False
 
     def __init__(self) -> None:
@@ -160,6 +165,7 @@ class SerialExecutor:
 class ThreadExecutor:
     """Thread-pool execution sharing one in-process cache per root."""
 
+    inline = False
     reset_on_timeout = False
 
     def __init__(self, workers: int = 2) -> None:
@@ -200,6 +206,7 @@ class ProcessExecutor:
     state machine.
     """
 
+    inline = False
     reset_on_timeout = True
 
     def __init__(self, workers: int = 2) -> None:

@@ -13,7 +13,7 @@ affect the solve.
 
 from __future__ import annotations
 
-from repro.flow.solvers import SolverConfig
+from repro.flow.solvers import SolverConfig, get_solver
 from repro.topology.base import Topology
 from repro.topology.serialization import encode_node
 from repro.traffic.base import TrafficMatrix
@@ -68,8 +68,10 @@ def traffic_fingerprint(traffic: TrafficMatrix) -> str:
 
 
 def solver_fingerprint(config: SolverConfig) -> str:
-    """Digest of a solver backend choice plus its options."""
-    return stable_digest(config.to_dict())
+    """Digest of a solver backend choice, its code version and options."""
+    return stable_digest(
+        {**config.to_dict(), "version": get_solver(config.name).version}
+    )
 
 
 def result_key(

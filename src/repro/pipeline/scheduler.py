@@ -176,6 +176,9 @@ class GridScheduler:
     ``max_in_flight`` is the backpressure bound: at most that many items
     are submitted to the executor at once (default ``2 * workers``, so
     pools stay fed without the queue dumping a whole sweep into them).
+    An inline executor defaults to 1: it solves inside ``submit``, so a
+    second item in flight would solve before the first one's cells and
+    manifest record are published.
     The dispatcher thread starts lazily on the first submit and runs
     until :meth:`close`.
     """
@@ -195,11 +198,13 @@ class GridScheduler:
             )
         self.executor = executor
         self.retry = retry if retry is not None else RetryPolicy()
-        self.max_in_flight = (
-            max_in_flight
-            if max_in_flight is not None
-            else max(2, 2 * getattr(executor, "workers", 1))
-        )
+        if max_in_flight is None:
+            max_in_flight = (
+                1
+                if getattr(executor, "inline", False)
+                else max(2, 2 * getattr(executor, "workers", 1))
+            )
+        self.max_in_flight = max_in_flight
         self._events: "queue.Queue[tuple]" = queue.Queue()
         self._seq = itertools.count()
         self._ready: "list[_Ready]" = []

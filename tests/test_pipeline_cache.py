@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -74,6 +75,55 @@ class TestFingerprints:
         c = solver_fingerprint(SolverConfig.make("path_lp", k=4))
         assert a != b
         assert a == c
+
+    def test_solver_fingerprint_includes_version(self, monkeypatch):
+        from repro.flow import solvers
+
+        config = SolverConfig.make("path_lp", k=4)
+        before = solver_fingerprint(config)
+        backend = solvers.get_solver("path_lp")
+        assert backend.version == 1
+        monkeypatch.setitem(
+            solvers._REGISTRY,
+            "path_lp",
+            dataclasses.replace(backend, version=2),
+        )
+        assert solver_fingerprint(config) != before
+
+    def test_version_bump_misses_cache(self, tmp_path, monkeypatch):
+        from repro.flow import solvers
+        from repro.pipeline.engine import run_grid
+        from repro.pipeline.scenario import (
+            ScenarioGrid,
+            TopologySpec,
+            TrafficSpec,
+        )
+
+        grid = ScenarioGrid(
+            name="version-bump",
+            topologies=(
+                TopologySpec.make(
+                    "rrg", network_degree=4, servers_per_switch=2
+                ),
+            ),
+            traffics=(TrafficSpec.make("permutation"),),
+            solvers=(SolverConfig("estimate_bound"),),
+            sizes=(10,),
+            seeds=1,
+        )
+        cold = run_grid(grid, cache_dir=str(tmp_path))
+        warm = run_grid(grid, cache_dir=str(tmp_path))
+        assert [c.cache_hit for c in cold.cells] == [False]
+        assert [c.cache_hit for c in warm.cells] == [True]
+        backend = solvers.get_solver("estimate_bound")
+        monkeypatch.setitem(
+            solvers._REGISTRY,
+            "estimate_bound",
+            dataclasses.replace(backend, version=backend.version + 1),
+        )
+        bumped = run_grid(grid, cache_dir=str(tmp_path))
+        assert [c.cache_hit for c in bumped.cells] == [False]
+        assert bumped.cells[0].throughput == cold.cells[0].throughput
 
     def test_result_key_composition(self):
         key = result_key("t" * 64, "m" * 64, "s" * 64)

@@ -159,6 +159,40 @@ class TestRunJob:
             parse_priority("urgent")
 
 
+class TestInlinePublish:
+    def test_item_publishes_before_next_item_solves(self, monkeypatch):
+        from repro.pipeline import engine
+
+        events: "list[tuple]" = []
+        original = engine.evaluate_batch
+
+        def traced(scenarios, **kwargs):
+            events.append(("solve", scenarios[0].size))
+            return original(scenarios, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_batch", traced)
+        job = GridJob(small_grid(seeds=1))
+        assert len(job.items) == 2
+        run_job(
+            job, on_cell=lambda i, c: events.append(("cell", c.scenario.size))
+        )
+        assert events == [
+            ("solve", 8), ("cell", 8), ("solve", 10), ("cell", 10)
+        ]
+
+    def test_default_bound_per_executor_kind(self):
+        with GridScheduler(SerialExecutor()) as scheduler:
+            assert scheduler.max_in_flight == 1
+        with GridScheduler(SerialExecutor(), max_in_flight=3) as scheduler:
+            assert scheduler.max_in_flight == 3
+        executor = ThreadExecutor(workers=2)
+        try:
+            with GridScheduler(executor) as scheduler:
+                assert scheduler.max_in_flight == 4
+        finally:
+            executor.shutdown()
+
+
 class TestInteractivePriority:
     def test_interactive_jumps_queued_bulk_items(self):
         bulk_grid = small_grid()
