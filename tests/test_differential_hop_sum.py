@@ -239,13 +239,17 @@ class TestKernelOnDirectedMatrices:
             num_nodes, num_nodes, density=density, format="csr", rng=rng
         )
         matrix.data[:] = 1.0
-        # Rows with no out-edges and columns with no in-edges, the last
-        # row and column included.
-        dead = rng.choice(num_nodes, size=max(1, num_nodes // 10), replace=False)
-        dead = np.union1d(dead, [num_nodes - 1])
-        matrix = sp.csr_matrix(matrix.multiply(
-            np.isin(np.arange(num_nodes), dead, invert=True)[:, None]
-        ))
+        # Some nodes lose every out-edge and others every in-edge (the
+        # kernel's empty rows), the last node in both groups.
+        def keep_mask():
+            dead = rng.choice(num_nodes, size=max(1, num_nodes // 10),
+                              replace=False)
+            dead = np.union1d(dead, [num_nodes - 1])
+            return np.isin(np.arange(num_nodes), dead, invert=True)
+
+        matrix = sp.csr_matrix(
+            matrix.multiply(keep_mask()[:, None]).multiply(keep_mask()[None, :])
+        )
         matrix.eliminate_zeros()
         num_sources = min(num_sources, num_nodes)
         rows = rng.choice(num_nodes, size=num_sources, replace=False)
