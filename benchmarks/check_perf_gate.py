@@ -4,15 +4,15 @@ Run after the gated benchmarks have appended fresh records: the newest
 record of each gated benchmark is compared against the best (fastest)
 *committed* record, and the gate fails on a >2x slowdown of
 
-- the warm (incremental-model) anneal at N = 64 and the end-to-end
-  N = 100,000 estimator-ladder cell (``BENCH_solvers.json``, appended by
+- the exact-LP anneal at N = 64 and the end-to-end N = 100,000
+  estimator-ladder cell (``BENCH_solvers.json``, appended by
   ``bench_solvers.py``), and
 - the cold cost-Pareto design run over every generator family
   (``BENCH_design.json``, appended by ``bench_design.py``).
 
-The 2x threshold absorbs shared-runner noise; the in-run ratio asserts
-(e.g. warm >= 3x faster than cold) live in the benchmark files
-themselves and are machine-independent. Usage::
+The 2x threshold absorbs shared-runner noise; the in-run asserts
+(e.g. zero warm design solves) live in the benchmark files themselves
+and are machine-independent. Usage::
 
     python benchmarks/check_perf_gate.py            # gate every artifact
     python benchmarks/check_perf_gate.py BENCH_solvers.json   # just one
@@ -29,7 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Gated artifact -> {benchmark name -> the timing field the gate watches}.
 GATES = {
     "BENCH_solvers.json": {
-        "incremental_anneal_n64": "warm_seconds",
+        "exact_anneal_n64": "seconds",
         "estimator_ladder_100k": "total_seconds",
     },
     "BENCH_design.json": {

@@ -35,7 +35,8 @@ def main() -> None:
     print(f"topology : {topo}")
     print(f"traffic  : {traffic}")
 
-    result = max_concurrent_flow(topo, traffic)
+    # Utilization reads the routing: take the minimum-volume optimum.
+    result = max_concurrent_flow(topo, traffic, keep_commodity_flows=True)
     bound = throughput_upper_bound(
         num_switches, network_degree, traffic.num_network_flows
     )

@@ -116,7 +116,9 @@ def analyze_network(
         most require servers), or ``None`` for a structure-only report.
     result:
         Optionally reuse an already-solved flow result for the given
-        traffic instead of re-solving.
+        traffic instead of re-solving. When omitted, the exact LP is
+        solved with ``keep_commodity_flows=True`` so the utilization
+        lines describe the minimum-volume optimal routing.
     """
     is_regular, degree = _regularity(topo)
     aspl = average_shortest_path_length(topo)
@@ -142,7 +144,7 @@ def analyze_network(
         traffic = make_traffic(traffic, topo, seed=seed)
 
     if result is None:
-        result = evaluate_throughput(topo, traffic)
+        result = evaluate_throughput(topo, traffic, keep_commodity_flows=True)
     analysis.traffic_name = traffic.name
     analysis.throughput = result.throughput
     if is_regular and degree and traffic.num_network_flows > 0:

@@ -47,7 +47,9 @@ def _measure(topo_factory, runs: int, seed) -> "dict[str, float] | None":
         if not topo.is_connected():
             continue
         traffic = random_permutation_traffic(topo, seed=child)
-        result = evaluate_throughput(topo, traffic)
+        # U and AS read the routing, so take the minimum-volume optimum
+        # rather than whichever optimal vertex the LP happens to return.
+        result = evaluate_throughput(topo, traffic, keep_commodity_flows=True)
         if result.throughput <= 0:
             continue
         dec = decompose_throughput(topo, traffic, result)

@@ -50,11 +50,7 @@ from repro.flow.path_decomposition import (
     decompose_arc_flows,
     decompose_commodity_flows,
 )
-from repro.flow.incremental import (
-    EdgeLPModel,
-    model_for,
-    model_stats,
-)
+from repro.flow.incremental import EdgeLPModel, model_stats
 
 __all__ = [
     "ThroughputResult",
@@ -81,6 +77,5 @@ __all__ = [
     "decompose_arc_flows",
     "decompose_commodity_flows",
     "EdgeLPModel",
-    "model_for",
     "model_stats",
 ]

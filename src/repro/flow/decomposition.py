@@ -62,7 +62,10 @@ def decompose_throughput(
     """Split a solved throughput into the §6.1 factors.
 
     Requires a result with positive delivered traffic (zero-throughput
-    results have undefined stretch).
+    results have undefined stretch). ``U`` and ``AS`` read the result's
+    routing; for the exact LP, solve with ``keep_commodity_flows=True``
+    so that routing is the minimum-volume optimum rather than an
+    arbitrary optimal vertex.
     """
     if result.throughput <= 0:
         raise FlowError(

@@ -28,6 +28,12 @@ from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
 from repro.traffic.base import TrafficMatrix
 
+#: The one HiGHS algorithm every exact LP in the package runs by default:
+#: interior point with crossover, which returns a basic optimal solution
+#: like simplex does and solves the multi-commodity instances here
+#: several times faster than dual simplex (see ``docs/performance.md``).
+DEFAULT_METHOD = "highs-ipm"
+
 
 def max_concurrent_flow(
     topo: Topology,
@@ -35,7 +41,7 @@ def max_concurrent_flow(
     aggregate_by_source: bool = True,
     keep_commodity_flows: bool = False,
     unreachable: str = "error",
-    method: str = "highs",
+    method: str = DEFAULT_METHOD,
 ) -> ThroughputResult:
     """Solve the exact max concurrent flow problem.
 
@@ -54,7 +60,11 @@ def max_concurrent_flow(
         Also record per-commodity arc flows on the result (keyed by source
         switch). Required by exact path decomposition
         (:mod:`repro.flow.path_decomposition`); costs O(commodities x arcs)
-        memory.
+        memory and one more LP. The optimal routing is not unique, and an
+        arbitrary optimum may spend spare capacity on detours and
+        circulations, so the flows are re-solved to the least total
+        volume that still delivers the optimal throughput. That routing
+        is cycle-free, and its volume is the same whatever the LP method.
     unreachable:
         Policy for demands with no path (degraded fabrics): ``"error"``
         raises, ``"drop"`` solves over the served demand set and records
@@ -62,10 +72,13 @@ def max_concurrent_flow(
         :mod:`repro.flow.reachability`.
     method:
         HiGHS algorithm passed to :func:`scipy.optimize.linprog`. The
-        default ``"highs"`` (simplex) gives vertex solutions; on large
-        instances ``"highs-ipm"`` (interior point with crossover) solves
-        the same LP several times faster with optima agreeing to machine
-        precision — the hot-path choice of :mod:`repro.flow.incremental`.
+        default :data:`DEFAULT_METHOD` (``"highs-ipm"``, interior point
+        with crossover) returns a vertex solution and is several times
+        faster than dual simplex (``"highs"``) on the paper's instances.
+        Both reach the same optimum, but where the optimal routing is not
+        unique they return different arc flows (IPM's tend to use more
+        spare capacity); ``keep_commodity_flows`` gives a routing whose
+        volume does not depend on the method.
 
     Returns
     -------
@@ -123,7 +136,7 @@ def _solve(
     traffic: TrafficMatrix,
     solver_label: str,
     keep_commodity_flows: bool = False,
-    method: str = "highs",
+    method: str = DEFAULT_METHOD,
 ) -> ThroughputResult:
     nodes = topo.switches
     node_index = {node: i for i, node in enumerate(nodes)}
@@ -242,6 +255,28 @@ def _solve(
 
     solution = np.asarray(outcome.x)
     throughput = float(solution[t_col])
+    if keep_commodity_flows:
+        # Minimum-volume re-route at the optimum (see max_concurrent_flow).
+        volume = np.ones(num_vars)
+        volume[t_col] = 0.0
+        bounds = np.zeros((num_vars, 2))
+        bounds[:, 1] = np.inf
+        bounds[t_col, 0] = throughput
+        outcome = linprog(
+            volume,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            method=method,
+        )
+        if not outcome.success:
+            raise SolverError(
+                f"HiGHS re-route failed on {topo.name!r} / {traffic.name!r}: "
+                f"{outcome.message}"
+            )
+        solution = np.asarray(outcome.x)
     # Per-arc totals come from one vectorized reduction; the O(K x m)
     # per-commodity dict materialization below runs only when the caller
     # asked for it (exact path decomposition does, nothing else should).

@@ -1,100 +1,65 @@
-"""Reusable max-concurrent-flow LP models for swap-adjacent instances.
+"""A max-concurrent-flow LP that follows a demand timeline in place.
 
-:mod:`repro.flow.edge_lp` rebuilds its sparse constraint system on every
-call — the right trade for one-off solves, and exactly the wrong one for
-the annealing and growth inner loops, which solve thousands of instances
-that differ from their predecessor by a single double edge swap.
+Trace replay (:mod:`repro.pipeline.replay`) solves one topology under a
+sequence of demand matrices, each one sparse delta away from the last.
+:class:`EdgeLPModel` assembles the arc-based LP of
+:mod:`repro.flow.edge_lp` once per replay window and then folds each
+:class:`~repro.traffic.timeline.DemandDelta` into it:
 
-:class:`EdgeLPModel` assembles the arc-based LP **once** per (topology
-structure, traffic structure) and then mutates it in place per swap:
+- There is one commodity per switch, demand or not, so any delta lands
+  in an existing commodity slot. Zero-demand commodities cost columns
+  but leave the optimum unchanged.
+- Conservation uses the *full-row* formulation: one equality row per
+  (commodity, node), including the source row (redundant; presolve drops
+  it). Every arc column then has exactly two nonzeros, and the CSC
+  arrays keep a fixed layout.
+- A delta changes only the throughput column, which is the last CSC
+  column, and the total demand. Arc columns, the capacity block, bounds
+  and objective never move.
 
-- Conservation uses the *full-row* formulation — one equality row per
-  (commodity, node), including the source row (redundant but harmless:
-  presolve drops it). With the source row present every arc column has
-  exactly two nonzeros (+1 at its head row, -1 at its tail row), so the
-  CSC arrays have a fixed layout: column ``c = k * num_arcs + j`` owns
-  data/index slots ``[2c, 2c + 2)`` forever. A double edge swap rewires
-  the head or tail of 4 arc slots, which is a vectorized write of
-  ``4 * num_commodities`` row indices — no reallocation, no re-sort.
-- The throughput column (demand terms), the capacity block, bounds and
-  objective never change under degree-preserving swaps: capacities travel
-  with the arc slot exactly as :class:`~repro.topology.mutation.
-  DoubleEdgeSwap` specifies (``(a, d)`` inherits the capacity of
-  ``(a, b)``).
-
-Solves default to ``method="highs-ipm"`` (interior point + crossover),
-which on the anneal-scale instances measured in ``BENCH_solvers.json``
-is ~10x faster than the default simplex with optima agreeing to machine
-precision; the differential test matrix pins mutated-model optima to cold
-:func:`~repro.flow.edge_lp.max_concurrent_flow` solves at 1e-9.
-
-A small fingerprint-keyed memo (:func:`model_for`) mirrors the route-set
-memo of :mod:`repro.fidelity.routes` so pipeline stages sharing a
-(topology, traffic) pair pay one assembly; :func:`model_stats` exposes
-the counters.
+Solves use :data:`~repro.flow.edge_lp.DEFAULT_METHOD`, the same HiGHS
+algorithm as a cold :func:`~repro.flow.edge_lp.max_concurrent_flow`.
+:func:`model_stats` exposes build/solve/delta counters.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.exceptions import FlowError, SolverError
-from repro.flow.edge_lp import _aggregate_by_source
+from repro.flow.edge_lp import DEFAULT_METHOD, _aggregate_by_source
 from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
-from repro.topology.mutation import DoubleEdgeSwap
 from repro.traffic.base import TrafficMatrix
 
-#: Hot-path LP algorithm. Interior point with crossover returns a basic
-#: optimal solution like simplex does, several times faster on the
-#: multi-commodity instances this module exists for.
-DEFAULT_METHOD = "highs-ipm"
-
-#: In-process memo size for :func:`model_for` (a model at N=64/r=8 is a
-#: few MB of index arrays).
-_MEMO_MAX = 4
-
-_MEMO: "OrderedDict[tuple, EdgeLPModel]" = OrderedDict()
-_STATS = {
-    "built": 0,
-    "memo_hits": 0,
-    "solves": 0,
-    "swaps": 0,
-    "demand_deltas": 0,
-}
+_STATS = {"built": 0, "solves": 0, "demand_deltas": 0}
 
 
 def model_stats() -> dict:
-    """Counters since the last reset: built / memo_hits / solves / swaps /
-    demand_deltas."""
+    """Counters since the last reset: built / solves / demand_deltas."""
     return dict(_STATS)
 
 
 def reset_model_stats() -> None:
-    """Zero the counters and drop the in-process model memo."""
+    """Zero the counters."""
     for key in _STATS:
         _STATS[key] = 0
-    _MEMO.clear()
 
 
 class EdgeLPModel:
-    """One assembled max-concurrent-flow LP, mutable under edge swaps.
+    """One assembled max-concurrent-flow LP, mutable under demand deltas.
 
     Parameters
     ----------
     topo:
-        Connected network whose structure seeds the model. The model
-        keeps its own arc bookkeeping; later swaps are applied through
-        :meth:`apply_swap`, not by mutating ``topo``.
+        The network. It is read once; the model keeps its own arrays.
     traffic:
-        Demand matrix. Commodities are aggregated by source switch (the
-        proven-equivalent compression of :mod:`repro.flow.edge_lp`).
+        Starting demand matrix. Later matrices are reached through
+        :meth:`apply_demand_delta`.
     method:
-        :func:`scipy.optimize.linprog` method for :meth:`solve`.
+        :func:`scipy.optimize.linprog` method for :meth:`solve_result`.
     """
 
     def __init__(
@@ -102,7 +67,6 @@ class EdgeLPModel:
         topo: Topology,
         traffic: TrafficMatrix,
         method: str = DEFAULT_METHOD,
-        sources: "str | None" = None,
     ) -> None:
         traffic.validate_against(topo.switches)
         if not traffic.demands:
@@ -110,29 +74,19 @@ class EdgeLPModel:
         arcs = topo.arcs()
         if not arcs:
             raise FlowError("topology has no links")
-        if sources not in (None, "all"):
-            raise FlowError(f"sources must be None or 'all', got {sources!r}")
         self.method = method
         self.name = f"{topo.name}/{traffic.name}"
-        self.num_swaps = 0
         self.num_solves = 0
         self.num_demand_deltas = 0
 
         nodes = topo.switches
         self._node_index = {node: i for i, node in enumerate(nodes)}
-        self._nodes = list(nodes)
         num_nodes = len(nodes)
-        commodities = _aggregate_by_source(traffic)
-        if sources == "all":
-            # One commodity per switch, demand or not: zero-demand
-            # commodities cost columns but keep the fixed layout valid for
-            # *any* later demand delta (a new source just fills its slot).
-            by_source = dict(commodities)
-            commodities = [
-                (node, by_source.get(node, {}))
-                for node in sorted(nodes, key=repr)
-            ]
-        self._sources_mode = sources
+        by_source = dict(_aggregate_by_source(traffic))
+        commodities = [
+            (node, by_source.get(node, {}))
+            for node in sorted(nodes, key=repr)
+        ]
         num_arcs = len(arcs)
         num_commodities = len(commodities)
         self._num_nodes = num_nodes
@@ -141,14 +95,12 @@ class EdgeLPModel:
         num_vars = num_commodities * num_arcs + 1
         self._t_col = num_vars - 1
 
-        # Arc slots: slot j holds directed arc (tail[j], head[j]) with a
-        # capacity that never moves — swaps rewrite endpoints in place.
-        self._arc_tail = np.fromiter(
+        arc_tail = np.fromiter(
             (self._node_index[u] for u, _, _ in arcs),
             dtype=np.int64,
             count=num_arcs,
         )
-        self._arc_head = np.fromiter(
+        arc_head = np.fromiter(
             (self._node_index[v] for _, v, _ in arcs),
             dtype=np.int64,
             count=num_arcs,
@@ -156,9 +108,7 @@ class EdgeLPModel:
         self._capacities = np.fromiter(
             (cap for _, _, cap in arcs), dtype=np.float64, count=num_arcs
         )
-        self._arc_slot = {
-            (u, v): j for j, (u, v, _) in enumerate(arcs)
-        }
+        self._arc_pairs = [(u, v) for u, v, _ in arcs]
 
         # Full-row conservation in fixed-layout CSC arrays. Arc column
         # c = k * num_arcs + j occupies slots [2c, 2c+2): head row (+1)
@@ -168,11 +118,9 @@ class EdgeLPModel:
         commodity_base = (
             np.arange(num_commodities, dtype=np.int64) * num_nodes
         )
-        head_rows = commodity_base[:, None] + self._arc_head[None, :]
-        tail_rows = commodity_base[:, None] + self._arc_tail[None, :]
         arc_indices = np.empty((num_commodities, num_arcs, 2), dtype=np.int64)
-        arc_indices[:, :, 0] = head_rows
-        arc_indices[:, :, 1] = tail_rows
+        arc_indices[:, :, 0] = commodity_base[:, None] + arc_head[None, :]
+        arc_indices[:, :, 1] = commodity_base[:, None] + arc_tail[None, :]
         arc_data = np.empty(num_commodities * num_arcs * 2, dtype=np.float64)
         arc_data[0::2] = 1.0
         arc_data[1::2] = -1.0
@@ -198,9 +146,8 @@ class EdgeLPModel:
         self._b_eq = np.zeros(self._num_eq_rows)
         self._rebuild_t_column()
 
-        # Capacity block: sum over commodities of flow on arc slot j <=
-        # capacity(j). Column-to-row pattern is layout-only; b_ub moves
-        # with the slots, i.e. never.
+        # Capacity block: sum over commodities of flow on arc j <=
+        # capacity(j).
         ub_rows = np.tile(
             np.arange(num_arcs, dtype=np.int64), num_commodities
         )
@@ -217,76 +164,6 @@ class EdgeLPModel:
         self._objective[self._t_col] = -1.0
         self.total_demand = float(traffic.total_demand)
         _STATS["built"] += 1
-
-    # ------------------------------------------------------------------
-    # Introspection used by the property tests
-    # ------------------------------------------------------------------
-    @property
-    def shape(self) -> tuple:
-        """(equality rows, variables) of the conservation block."""
-        return (self._num_eq_rows, self._t_col + 1)
-
-    @property
-    def nnz(self) -> int:
-        """Nonzero count of the conservation block (invariant under swaps)."""
-        return len(self._eq_data)
-
-    def arcs(self) -> list:
-        """Current directed arcs ``(u, v, capacity)`` in slot order."""
-        return [
-            (self._nodes[int(t)], self._nodes[int(h)], float(c))
-            for t, h, c in zip(self._arc_tail, self._arc_head, self._capacities)
-        ]
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def apply_swap(self, swap: DoubleEdgeSwap) -> None:
-        """Rewire the model for ``swap`` in place (O(num_commodities)).
-
-        Both directed arcs of each swapped link move: ``(a, b)`` becomes
-        ``(a, d)`` (head rewrite), ``(b, a)`` becomes ``(d, a)`` (tail
-        rewrite), and symmetrically for ``(c, d)``. Raises
-        :class:`FlowError` when the swap does not fit the current arc set
-        (missing removed link or already-present added link), leaving the
-        model untouched.
-        """
-        a, b, c, d = swap.a, swap.b, swap.c, swap.d
-        for u, v in swap.removed:
-            if (u, v) not in self._arc_slot:
-                raise FlowError(f"swap removes missing arc ({u!r}, {v!r})")
-        for u, v in swap.added:
-            if (u, v) in self._arc_slot:
-                raise FlowError(f"swap adds existing arc ({u!r}, {v!r})")
-        # (endpoint-kind, old pair, new pair, replacement node)
-        moves = (
-            ("head", (a, b), (a, d), d),
-            ("tail", (b, a), (d, a), d),
-            ("head", (c, d), (c, b), b),
-            ("tail", (d, c), (b, c), b),
-        )
-        num_arcs = self._num_arcs
-        strides = (
-            np.arange(self._num_commodities, dtype=np.int64)
-            * (2 * num_arcs)
-        )
-        commodity_rows = (
-            np.arange(self._num_commodities, dtype=np.int64) * self._num_nodes
-        )
-        for kind, old, new, node in moves:
-            j = self._arc_slot.pop(old)
-            self._arc_slot[new] = j
-            node_idx = self._node_index[node]
-            if kind == "head":
-                self._arc_head[j] = node_idx
-                self._eq_indices[strides + 2 * j] = commodity_rows + node_idx
-            else:
-                self._arc_tail[j] = node_idx
-                self._eq_indices[strides + 2 * j + 1] = (
-                    commodity_rows + node_idx
-                )
-        self.num_swaps += 1
-        _STATS["swaps"] += 1
 
     def _rebuild_t_column(self) -> None:
         """Regenerate the throughput column's CSC tail from demand state.
@@ -350,14 +227,7 @@ class EdgeLPModel:
         """Fold a :class:`~repro.traffic.timeline.DemandDelta` in place.
 
         Only the throughput column (the CSC tail) and ``total_demand``
-        change — arc columns, the capacity block, bounds, and objective
-        are untouched, mirroring :meth:`apply_swap`'s slot discipline.
-        Reverting is ``apply_demand_delta(delta.inverse())``.
-
-        A delta whose source has no commodity slot raises
-        :class:`FlowError` unless the model was built with
-        ``sources="all"`` (one commodity per switch, so every source has
-        a slot); callers fall back to a cold rebuild in that case. The
+        change. Reverting is ``apply_demand_delta(delta.inverse())``. The
         model is left untouched on any validation failure.
         """
         from repro.traffic.timeline import ZERO_DEMAND_TOLERANCE
@@ -367,13 +237,8 @@ class EdgeLPModel:
         for (u, v), units in delta.changes:
             k = self._commodity_index.get(u)
             if k is None:
-                if u not in self._node_index:
-                    raise FlowError(
-                        f"delta source {u!r} is not a switch in the model"
-                    )
                 raise FlowError(
-                    f"delta adds new source {u!r}; only models built with "
-                    "sources='all' can warm-start new sources — rebuild cold"
+                    f"delta source {u!r} is not a switch in the model"
                 )
             if v not in self._node_index:
                 raise FlowError(
@@ -407,36 +272,8 @@ class EdgeLPModel:
         self.num_demand_deltas += 1
         _STATS["demand_deltas"] += 1
 
-    # ------------------------------------------------------------------
-    # Solving
-    # ------------------------------------------------------------------
-    def solve(self) -> float:
-        """Optimal concurrent throughput of the current instance."""
-        return float(self._solution()[self._t_col])
-
     def solve_result(self) -> ThroughputResult:
-        """Full :class:`ThroughputResult` for the current instance."""
-        solution = self._solution()
-        throughput = float(solution[self._t_col])
-        per_arc = (
-            solution[: self._t_col]
-            .reshape(self._num_commodities, self._num_arcs)
-            .sum(axis=0)
-        )
-        arc_pairs = [
-            (self._nodes[int(t)], self._nodes[int(h)])
-            for t, h in zip(self._arc_tail, self._arc_head)
-        ]
-        return ThroughputResult(
-            throughput=throughput,
-            arc_flows=dict(zip(arc_pairs, map(float, per_arc))),
-            arc_capacities=dict(zip(arc_pairs, map(float, self._capacities))),
-            total_demand=self.total_demand,
-            solver="edge-lp-incremental",
-            exact=True,
-        )
-
-    def _solution(self) -> np.ndarray:
+        """Optimal concurrent throughput of the current instance."""
         a_eq = sparse.csc_matrix(
             (self._eq_data, self._eq_indices, self._eq_indptr),
             shape=(self._num_eq_rows, self._t_col + 1),
@@ -457,58 +294,19 @@ class EdgeLPModel:
             )
         self.num_solves += 1
         _STATS["solves"] += 1
-        return np.asarray(outcome.x)
-
-    def copy(self) -> "EdgeLPModel":
-        """An independent model with the same current instance."""
-        clone = object.__new__(EdgeLPModel)
-        clone.__dict__.update(self.__dict__)
-        for attr in (
-            "_arc_tail",
-            "_arc_head",
-            "_eq_indices",
-            "_eq_data",
-            "_eq_indptr",
-        ):
-            setattr(clone, attr, getattr(self, attr).copy())
-        clone._arc_slot = dict(self._arc_slot)
-        clone._commodity_dests = [dict(d) for d in self._commodity_dests]
-        return clone
-
-
-def model_for(
-    topo: Topology,
-    traffic: TrafficMatrix,
-    method: str = DEFAULT_METHOD,
-    mutable: bool = False,
-    sources: "str | None" = None,
-) -> EdgeLPModel:
-    """A (memoized) :class:`EdgeLPModel` for this exact instance.
-
-    Keyed by content fingerprints, so repeated pipeline stages touching
-    the same (topology, traffic) pair share one assembly. ``mutable=True``
-    returns a private copy safe to :meth:`~EdgeLPModel.apply_swap` /
-    :meth:`~EdgeLPModel.apply_demand_delta` — the memoized original must
-    keep matching its fingerprint key.
-    """
-    from repro.pipeline.fingerprint import (
-        topology_fingerprint,
-        traffic_fingerprint,
-    )
-
-    key = (
-        topology_fingerprint(topo),
-        traffic_fingerprint(traffic),
-        method,
-        sources,
-    )
-    model = _MEMO.get(key)
-    if model is None:
-        model = EdgeLPModel(topo, traffic, method=method, sources=sources)
-        _MEMO[key] = model
-        while len(_MEMO) > _MEMO_MAX:
-            _MEMO.popitem(last=False)
-    else:
-        _MEMO.move_to_end(key)
-        _STATS["memo_hits"] += 1
-    return model.copy() if mutable else model
+        solution = np.asarray(outcome.x)
+        per_arc = (
+            solution[: self._t_col]
+            .reshape(self._num_commodities, self._num_arcs)
+            .sum(axis=0)
+        )
+        return ThroughputResult(
+            throughput=float(solution[self._t_col]),
+            arc_flows=dict(zip(self._arc_pairs, map(float, per_arc))),
+            arc_capacities=dict(
+                zip(self._arc_pairs, map(float, self._capacities))
+            ),
+            total_demand=self.total_demand,
+            solver="edge-lp-incremental",
+            exact=True,
+        )

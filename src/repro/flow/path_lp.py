@@ -15,6 +15,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.exceptions import FlowError, SolverError
+from repro.flow.edge_lp import DEFAULT_METHOD
 from repro.flow.reachability import resolve_unreachable, unserved_result
 from repro.flow.result import ThroughputResult
 from repro.metrics.paths import k_shortest_paths
@@ -118,7 +119,7 @@ def max_concurrent_flow_paths(
         A_eq=a_eq,
         b_eq=np.zeros(len(pairs)),
         bounds=(0, None),
-        method="highs",
+        method=DEFAULT_METHOD,
     )
     if not outcome.success:
         raise SolverError(

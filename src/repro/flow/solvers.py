@@ -172,6 +172,7 @@ register_solver(
     description="exact arc-based LP (scipy HiGHS), commodities by source",
     exact=True,
     aliases=("edge-lp",),
+    version=2,
 )
 register_solver(
     "path_lp",
@@ -179,6 +180,7 @@ register_solver(
     description="LP over k-shortest path sets (fast lower bound)",
     exact=False,
     aliases=("path-lp",),
+    version=2,
 )
 register_solver(
     "approx",
@@ -290,6 +292,7 @@ register_solver(
     description="exact LP on a scaled demand sample (mid-scale)",
     exact=False,
     estimate=True,
+    version=2,
 )
 
 # Routing-fidelity backends live in repro.fidelity and follow the same

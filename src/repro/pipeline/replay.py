@@ -10,8 +10,8 @@ apply unchanged. Windows parallelize across workers; *within* a window
 steps solve sequentially so each step warm-starts from its predecessor:
 
 - ``edge_lp`` → one :class:`~repro.flow.incremental.EdgeLPModel` built
-  cold at the window's first uncached step (``sources="all"`` so later
-  deltas can introduce new sources), then advanced per step via
+  cold at the window's first uncached step (one commodity per switch, so
+  later deltas can introduce new sources), then advanced per step via
   :meth:`~repro.flow.incremental.EdgeLPModel.apply_demand_delta`.
 - ``estimate_bound`` → a :class:`~repro.metrics.paths.DemandHopTracker`
   re-prices only delta-touched sources per step.
@@ -239,7 +239,8 @@ class _WindowSolver:
         return self.plan.solver.solve(self.topo, matrix), "fallback"
 
     def _solve_lp(self, step: int) -> tuple:
-        from repro.flow.incremental import DEFAULT_METHOD, EdgeLPModel
+        from repro.flow.edge_lp import DEFAULT_METHOD
+        from repro.flow.incremental import EdgeLPModel
 
         method = self.options.get("method", DEFAULT_METHOD)
         mode = "warm"
@@ -254,9 +255,7 @@ class _WindowSolver:
                 self._model = None
         if self._model is None or self._model_step != step:
             matrix = self._matrix_at(step)
-            self._model = EdgeLPModel(
-                self.topo, matrix, method=method, sources="all"
-            )
+            self._model = EdgeLPModel(self.topo, matrix, method=method)
             self._model_step = step
             mode = "cold"
         return self._model.solve_result(), mode

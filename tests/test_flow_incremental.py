@@ -1,39 +1,32 @@
-"""Differential and property tests for the reusable :class:`EdgeLPModel`.
+"""Differential and property tests for the replay :class:`EdgeLPModel`.
 
-The incremental model exists to replace a cold
-:func:`~repro.flow.edge_lp.max_concurrent_flow` rebuild per annealing
-swap; its entire correctness contract is "after any sequence of
-``apply_swap`` calls, the model's optimum equals a cold solve of the
-mutated topology". The differential matrix here pins that at 1e-9 over
-random swap walks, and the property tests pin the structural invariants
-the fixed-layout CSC mutation relies on.
+Replay builds one model per window and advances it with
+``apply_demand_delta``; its correctness contract is "after any sequence
+of deltas, the model's optimum equals a cold solve of the current
+matrix". The tests here pin that at 1e-9 over VDC traces, and pin the
+CSC arrays and validation rules the in-place update relies on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import FlowError
 from repro.flow.edge_lp import max_concurrent_flow
 from repro.flow.incremental import (
-    DEFAULT_METHOD,
     EdgeLPModel,
-    model_for,
     model_stats,
     reset_model_stats,
-)
-from repro.topology.mutation import (
-    DoubleEdgeSwap,
-    apply_double_edge_swap,
-    double_edge_swap,
 )
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.permutation import random_permutation_traffic
 
 TOL = 1e-9
+
+
+def _throughput(model: EdgeLPModel) -> float:
+    return model.solve_result().throughput
 
 
 def _instance(num_switches: int, degree: int = 4, seed: int = 0):
@@ -45,147 +38,28 @@ def _instance(num_switches: int, degree: int = 4, seed: int = 0):
 
 
 class TestDifferentialMatrix:
-    """Mutated-model optima == cold solves, across sizes and swap walks."""
-
-    @pytest.mark.parametrize("num_switches", [8, 12, 16])
-    def test_swap_walk_matches_cold_solves(self, num_switches):
-        topo, traffic = _instance(num_switches, seed=num_switches)
-        model = EdgeLPModel(topo, traffic)
-        assert abs(
-            model.solve() - max_concurrent_flow(topo, traffic).throughput
-        ) <= TOL
-        rng = np.random.default_rng(num_switches * 7 + 1)
-        applied = 0
-        while applied < 6:
-            swap = double_edge_swap(topo, rng=rng)
-            if swap is None:
-                break
-            model.apply_swap(swap)
-            applied += 1
-            cold = max_concurrent_flow(topo, traffic).throughput
-            assert abs(model.solve() - cold) <= TOL, (
-                f"N={num_switches} swap #{applied}"
-            )
-        assert applied >= 3, "walk sampled too few valid swaps"
-
     def test_revert_restores_original_optimum(self):
+        from repro.traffic.timeline import DemandDelta
+
         topo, traffic = _instance(12, seed=3)
         model = EdgeLPModel(topo, traffic)
-        base = model.solve()
-        rng = np.random.default_rng(5)
-        swap = double_edge_swap(topo, rng=rng)
-        assert swap is not None
-        model.apply_swap(swap)
-        model.apply_swap(swap.inverse())
-        assert abs(model.solve() - base) <= TOL
+        base = _throughput(model)
+        a, b, c = topo.switches[:3]
+        delta = DemandDelta.adding({(a, c): 3.0, (b, a): 1.0})
+        model.apply_demand_delta(delta)
+        grown = max_concurrent_flow(topo, delta.apply(traffic)).throughput
+        assert abs(_throughput(model) - grown) <= TOL
+        model.apply_demand_delta(delta.inverse())
+        assert abs(_throughput(model) - base) <= TOL
 
     def test_solve_result_matches_cold_result(self):
         topo, traffic = _instance(12, seed=4)
-        model = EdgeLPModel(topo, traffic)
-        rng = np.random.default_rng(6)
-        swap = double_edge_swap(topo, rng=rng)
-        assert swap is not None
-        model.apply_swap(swap)
-        warm = model.solve_result()
+        warm = EdgeLPModel(topo, traffic).solve_result()
         cold = max_concurrent_flow(topo, traffic)
         assert abs(warm.throughput - cold.throughput) <= TOL
         assert warm.exact
         assert set(warm.arc_capacities) == set(cold.arc_capacities)
         assert warm.total_demand == cold.total_demand
-
-
-class TestSwapMutation:
-    def test_apply_swap_rejects_missing_removed_arc(self):
-        topo, traffic = _instance(12, seed=1)
-        model = EdgeLPModel(topo, traffic)
-        nodes = topo.switches
-        absent = next(
-            (u, v)
-            for u in nodes
-            for v in nodes
-            if u != v and not topo.has_link(u, v)
-        )
-        swap = DoubleEdgeSwap(absent[0], absent[1], nodes[2], nodes[3])
-        before = model.arcs()
-        with pytest.raises(FlowError, match="removes missing arc"):
-            model.apply_swap(swap)
-        assert model.arcs() == before
-        assert model.num_swaps == 0
-
-    def test_apply_swap_rejects_existing_added_arc(self):
-        topo, traffic = _instance(12, seed=2)
-        model = EdgeLPModel(topo, traffic)
-        link1, link2 = topo.links[0], topo.links[1]
-        a, b = link1.u, link1.v
-        # Find a link (c, d) where (a, d) already exists.
-        candidate = None
-        for link in topo.links[1:]:
-            c, d = link.u, link.v
-            if len({a, b, c, d}) == 4 and topo.has_link(a, d):
-                candidate = (c, d)
-                break
-        if candidate is None:
-            pytest.skip("no collision-inducing swap in this instance")
-        swap = DoubleEdgeSwap(a, b, *candidate)
-        with pytest.raises(FlowError, match="adds existing arc"):
-            model.apply_swap(swap)
-
-    def test_copy_is_independent(self):
-        topo, traffic = _instance(12, seed=5)
-        model = EdgeLPModel(topo, traffic)
-        clone = model.copy()
-        rng = np.random.default_rng(9)
-        swap = double_edge_swap(topo, rng=rng)
-        assert swap is not None
-        clone.apply_swap(swap)
-        # Original still solves the unswapped instance.
-        original = random_regular_topology(12, 4, servers_per_switch=2, seed=5)
-        cold = max_concurrent_flow(
-            original, random_permutation_traffic(original, seed=105)
-        ).throughput
-        assert abs(model.solve() - cold) <= TOL
-        assert abs(
-            clone.solve() - max_concurrent_flow(topo, traffic).throughput
-        ) <= TOL
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), num_swaps=st.integers(1, 8))
-def test_structure_invariant_under_swaps(seed, num_swaps):
-    """Shape, nnz, capacities, and b_ub never move under swap walks."""
-    topo, traffic = _instance(10, seed=17)
-    model = EdgeLPModel(topo, traffic)
-    shape, nnz = model.shape, model.nnz
-    capacities = model._capacities.copy()
-    rng = np.random.default_rng(seed)
-    for _ in range(num_swaps):
-        swap = double_edge_swap(topo, rng=rng)
-        if swap is None:
-            break
-        model.apply_swap(swap)
-    assert model.shape == shape
-    assert model.nnz == nnz
-    assert np.array_equal(model._capacities, capacities)
-    # The model's arc set tracks the mutated topology exactly.
-    model_arcs = {(u, v) for u, v, _ in model.arcs()}
-    topo_arcs = {(u, v) for u, v, _ in topo.arcs()}
-    assert model_arcs == topo_arcs
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_inverse_swap_restores_indices(seed):
-    topo, traffic = _instance(10, seed=23)
-    model = EdgeLPModel(topo, traffic)
-    indices = model._eq_indices.copy()
-    rng = np.random.default_rng(seed)
-    swap = double_edge_swap(topo, rng=rng)
-    if swap is None:
-        return
-    model.apply_swap(swap)
-    model.apply_swap(swap.inverse())
-    apply_double_edge_swap(topo, swap.inverse())
-    assert np.array_equal(model._eq_indices, indices)
 
 
 class TestDemandDeltas:
@@ -210,11 +84,11 @@ class TestDemandDeltas:
     def test_delta_stream_matches_cold_solves(self):
         """Warm-advance a VDC trace; every step equals a cold solve."""
         topo, timeline = self._timeline_instance()
-        model = EdgeLPModel(topo, timeline.base, sources="all")
+        model = EdgeLPModel(topo, timeline.base)
         for step in range(1, timeline.num_steps):
             model.apply_demand_delta(timeline.deltas[step - 1])
             cold = max_concurrent_flow(topo, timeline.matrix_at(step))
-            assert abs(model.solve() - cold.throughput) <= TOL, f"step {step}"
+            assert abs(_throughput(model) - cold.throughput) <= TOL, f"step {step}"
             assert model.total_demand == pytest.approx(
                 sum(timeline.matrix_at(step).demands.values())
             )
@@ -224,7 +98,7 @@ class TestDemandDeltas:
         from repro.traffic.timeline import DemandDelta
 
         topo, timeline = self._timeline_instance(seed=3)
-        model = EdgeLPModel(topo, timeline.base, sources="all")
+        model = EdgeLPModel(topo, timeline.base)
         data = model._eq_data.copy()
         indices = model._eq_indices.copy()
         indptr = model._eq_indptr.copy()
@@ -241,7 +115,7 @@ class TestDemandDeltas:
         assert np.array_equal(model._eq_indptr, indptr)
         assert model.total_demand == pytest.approx(total)
 
-    def test_new_source_needs_sources_all(self):
+    def test_new_source_fills_its_slot(self):
         from repro.traffic.base import TrafficMatrix
         from repro.traffic.timeline import DemandDelta
 
@@ -250,15 +124,10 @@ class TestDemandDeltas:
         traffic = TrafficMatrix(name="one", demands={(a, b): 2.0}, num_flows=2)
         delta = DemandDelta.adding({(c, a): 1.0})
 
-        narrow = EdgeLPModel(topo, traffic)
-        with pytest.raises(FlowError, match="new source"):
-            narrow.apply_demand_delta(delta)
-
-        wide = EdgeLPModel(topo, traffic, sources="all")
-        wide.apply_demand_delta(delta)
-        grown = delta.apply(traffic)
-        cold = max_concurrent_flow(topo, grown)
-        assert abs(wide.solve() - cold.throughput) <= TOL
+        model = EdgeLPModel(topo, traffic)
+        model.apply_demand_delta(delta)
+        cold = max_concurrent_flow(topo, delta.apply(traffic))
+        assert abs(_throughput(model) - cold.throughput) <= TOL
 
     def test_invalid_deltas_leave_model_untouched(self):
         from repro.traffic.base import TrafficMatrix
@@ -267,8 +136,8 @@ class TestDemandDeltas:
         topo = random_regular_topology(10, 4, servers_per_switch=2, seed=4)
         a, b = topo.switches[:2]
         traffic = TrafficMatrix(name="one", demands={(a, b): 2.0}, num_flows=2)
-        model = EdgeLPModel(topo, traffic, sources="all")
-        base = model.solve()
+        model = EdgeLPModel(topo, traffic)
+        base = _throughput(model)
 
         with pytest.raises(FlowError, match="negative"):
             model.apply_demand_delta(DemandDelta.adding({(a, b): -5.0}))
@@ -277,14 +146,14 @@ class TestDemandDeltas:
         with pytest.raises(FlowError, match="not a switch"):
             model.apply_demand_delta(DemandDelta.adding({("nope", b): 1.0}))
         assert model.num_demand_deltas == 0
-        assert abs(model.solve() - base) <= TOL
+        assert abs(_throughput(model) - base) <= TOL
 
     def test_delta_counter_in_model_stats(self):
         from repro.traffic.timeline import DemandDelta
 
         reset_model_stats()
         topo, timeline = self._timeline_instance(seed=7, steps=4)
-        model = EdgeLPModel(topo, timeline.base, sources="all")
+        model = EdgeLPModel(topo, timeline.base)
         switches = topo.switches
         model.apply_demand_delta(
             DemandDelta.adding({(switches[0], switches[1]): 1.0})
@@ -293,44 +162,7 @@ class TestDemandDeltas:
         reset_model_stats()
 
 
-class TestModelMemo:
-    def test_model_for_memoizes_by_fingerprint(self):
-        reset_model_stats()
-        topo, traffic = _instance(8, seed=6)
-        first = model_for(topo, traffic)
-        again = model_for(topo.copy(), traffic)
-        assert again is first
-        stats = model_stats()
-        assert stats["built"] == 1
-        assert stats["memo_hits"] == 1
-        reset_model_stats()
-
-    def test_mutable_returns_private_copy(self):
-        reset_model_stats()
-        topo, traffic = _instance(8, seed=6)
-        shared = model_for(topo, traffic)
-        private = model_for(topo, traffic, mutable=True)
-        assert private is not shared
-        rng = np.random.default_rng(2)
-        work = topo.copy()
-        swap = double_edge_swap(work, rng=rng)
-        assert swap is not None
-        private.apply_swap(swap)
-        # The memoized original still matches its fingerprint instance.
-        assert {(u, v) for u, v, _ in shared.arcs()} == {
-            (u, v) for u, v, _ in topo.arcs()
-        }
-        reset_model_stats()
-
-    def test_method_is_part_of_the_key(self):
-        reset_model_stats()
-        topo, traffic = _instance(8, seed=6)
-        ipm = model_for(topo, traffic, method=DEFAULT_METHOD)
-        simplex = model_for(topo, traffic, method="highs")
-        assert ipm is not simplex
-        assert model_stats()["built"] == 2
-        reset_model_stats()
-
+class TestConstruction:
     def test_empty_traffic_rejected(self):
         topo, _ = _instance(8, seed=6)
         from repro.traffic.base import TrafficMatrix

@@ -19,6 +19,7 @@ from repro.pipeline.fingerprint import (
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.permutation import random_permutation_traffic
 from repro.traffic.stride import stride_traffic
+from repro.util.hashing import stable_digest
 
 
 @pytest.fixture
@@ -82,13 +83,25 @@ class TestFingerprints:
         config = SolverConfig.make("path_lp", k=4)
         before = solver_fingerprint(config)
         backend = solvers.get_solver("path_lp")
-        assert backend.version == 1
         monkeypatch.setitem(
             solvers._REGISTRY,
             "path_lp",
-            dataclasses.replace(backend, version=2),
+            dataclasses.replace(backend, version=backend.version + 1),
         )
         assert solver_fingerprint(config) != before
+
+    def test_lp_backends_are_version_2(self):
+        # The default LP method moved from dual simplex to interior point,
+        # which can move low bits and vertex solutions of every LP backend.
+        from repro.flow import solvers
+
+        for name in ("edge_lp", "path_lp", "estimate_sampled_lp"):
+            config = SolverConfig.make(name)
+            assert solvers.get_solver(name).version == 2, name
+            assert solver_fingerprint(config) == stable_digest(
+                {**config.to_dict(), "version": 2}
+            ), name
+        assert solvers.get_solver("estimate_bound").version == 1
 
     def test_version_bump_misses_cache(self, tmp_path, monkeypatch):
         from repro.flow import solvers

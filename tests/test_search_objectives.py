@@ -17,7 +17,6 @@ from repro.metrics.spectral import algebraic_connectivity
 from repro.search.objectives import (
     ASPLObjective,
     BisectionObjective,
-    LPThroughputObjective,
     SpectralGapObjective,
     ThroughputObjective,
     make_objective,
@@ -137,22 +136,12 @@ class TestFactory:
 
 
 class TestIncrementalLPState:
-    """Eligibility and correctness of the model-reuse annealing state."""
+    """No throughput objective attaches an incremental LP state: exact-LP
+    anneals take the stateless apply / check / cold-solve / revert
+    branch of :func:`repro.search.annealing.anneal`."""
 
     def _traffic(self, topo):
         return random_permutation_traffic(topo, seed=5)
-
-    def test_lp_objective_attaches_incremental_state(self, rrg):
-        objective = LPThroughputObjective(self._traffic(rrg))
-        state = objective.attach(rrg)
-        assert state is not None
-        assert state.score() == pytest.approx(objective.evaluate(rrg))
-
-    def test_incremental_false_opts_out(self, rrg):
-        objective = LPThroughputObjective(
-            self._traffic(rrg), incremental=False
-        )
-        assert objective.attach(rrg) is None
 
     def test_traffic_factory_not_eligible(self, rrg):
         objective = ThroughputObjective(
@@ -171,30 +160,34 @@ class TestIncrementalLPState:
         )
         assert objective.attach(rrg) is None
 
-    def test_method_kwarg_stays_eligible(self, rrg):
-        objective = LPThroughputObjective(self._traffic(rrg), method="highs")
-        assert objective.attach(rrg) is not None
-
     def test_evaluate_matches_cold_solve_and_reverts(self, rrg):
-        from repro.flow.edge_lp import max_concurrent_flow
-        from repro.topology.mutation import double_edge_swap
+        from repro.search.annealing import CoolingSchedule, anneal
 
         traffic = self._traffic(rrg)
-        state = LPThroughputObjective(traffic).attach(rrg)
-        base = state.score()
-        work = rrg.copy()
-        swap = double_edge_swap(work, rng=np.random.default_rng(3))
-        assert swap is not None
-        value, token = state.evaluate(swap)
-        assert value == pytest.approx(
-            max_concurrent_flow(work, traffic).throughput, abs=1e-9
+        links = sorted((link.u, link.v) for link in rrg.links)
+        result = anneal(
+            rrg,
+            ThroughputObjective(traffic),
+            steps=4,
+            seed=3,
+            schedule=CoolingSchedule(
+                initial_temperature=0.05, final_temperature=0.001
+            ),
         )
-        # Un-committed evaluation leaves the state at the base instance.
-        assert state.score() == base
-        state.commit(token)
-        assert state.score() == value
+        # Both the accept and the revert branch ran.
+        assert result.accepted >= 1 and result.rejected >= 1
+        assert result.initial_score == pytest.approx(
+            max_concurrent_flow(rrg, traffic).throughput, abs=1e-9
+        )
+        assert result.best_score == pytest.approx(
+            max_concurrent_flow(result.topology, traffic).throughput,
+            abs=1e-9,
+        )
+        # The input topology is never mutated, whatever was accepted.
+        assert sorted((link.u, link.v) for link in rrg.links) == links
 
-    def test_disconnecting_swap_rejected(self):
+    def test_disconnecting_swap_rejected(self, monkeypatch):
+        from repro.search import annealing
         from repro.topology.base import Topology
         from repro.topology.mutation import DoubleEdgeSwap
         from repro.traffic.base import TrafficMatrix
@@ -209,8 +202,26 @@ class TestIncrementalLPState:
             topo.add_link(u, v)
         topo.add_link(0, 4)
         topo.add_link(2, 6)
+        links = sorted((link.u, link.v) for link in topo.links)
         traffic = TrafficMatrix(name="pair", demands={(1, 5): 1.0})
-        state = LPThroughputObjective(traffic).attach(topo)
-        assert state is not None
-        assert state.evaluate(DoubleEdgeSwap(0, 4, 6, 2)) is None
-        assert state.score() > 0.0
+        monkeypatch.setattr(
+            annealing,
+            "sample_double_edge_swap",
+            lambda work, rng=None, max_tries=32: DoubleEdgeSwap(0, 4, 6, 2),
+        )
+        result = annealing.anneal(
+            topo,
+            ThroughputObjective(traffic),
+            steps=3,
+            seed=0,
+            schedule=annealing.CoolingSchedule(
+                initial_temperature=1.0, final_temperature=0.1
+            ),
+        )
+        assert result.invalid == 3
+        assert result.accepted == result.rejected == 0
+        assert result.best_score == result.initial_score > 0.0
+        assert sorted(
+            (link.u, link.v) for link in result.topology.links
+        ) == links
+        assert sorted((link.u, link.v) for link in topo.links) == links
