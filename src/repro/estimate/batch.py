@@ -66,15 +66,11 @@ class SharedArtifacts:
 
     def csr_adjacency(self, topo: Topology):
         """Memoized unweighted CSR adjacency over ``topo.switches`` order."""
-        import networkx as nx
-
         entry = self._csr.get(id(topo))
         if entry is not None and entry[0] is topo:
             self.stats["csr_hits"] += 1
             return entry[1]
-        adjacency = nx.to_scipy_sparse_array(
-            topo.graph, nodelist=topo.switches, weight=None, format="csr"
-        )
+        adjacency = topo.csr_adjacency()
         self.stats["csr_builds"] += 1
         self._csr[id(topo)] = (topo, adjacency)
         return adjacency

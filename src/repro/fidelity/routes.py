@@ -111,10 +111,6 @@ class RouteSet:
         """The path tuple of pair ``(u, v)``."""
         return self.paths[self._position(u, v)]
 
-    def weights_for(self, u, v) -> tuple:
-        """The sampling weights of pair ``(u, v)``."""
-        return self.weights[self._position(u, v)]
-
     def _position(self, u, v) -> int:
         try:
             return self._index[(u, v)]
@@ -248,14 +244,9 @@ def _check_mode(mode: str, method: "str | None") -> str:
 # ----------------------------------------------------------------------
 def _graph_arrays(topo: Topology):
     """(nodes, index, csr adjacency) shared by the scipy-backed methods."""
-    import networkx as nx
-
     nodes = topo.switches
     index = {node: i for i, node in enumerate(nodes)}
-    adjacency = nx.to_scipy_sparse_array(
-        topo.graph, nodelist=nodes, weight=None, format="csr"
-    )
-    return nodes, index, adjacency
+    return nodes, index, topo.csr_adjacency()
 
 
 def _dag_enumerate(u, v, next_hops, cap: int):

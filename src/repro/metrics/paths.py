@@ -156,7 +156,6 @@ def demand_hop_sum(
     check_positive_int(chunk_size, "chunk_size")
     if max_sources is not None:
         check_positive_int(max_sources, "max_sources")
-    import networkx as nx
     import numpy as np
 
     nodes = topo.switches
@@ -171,13 +170,11 @@ def demand_hop_sum(
 
     store = active_artifacts()
     if store is not None:
-        # Same matrix the direct build produces (the store builds it with
-        # this exact call), shared across the batch's backends.
+        # Same matrix the direct build produces, shared across the batch's
+        # backends.
         adjacency = store.csr_adjacency(topo)
     else:
-        adjacency = nx.to_scipy_sparse_array(
-            topo.graph, nodelist=nodes, weight=None, format="csr"
-        )
+        adjacency = topo.csr_adjacency()
     sources = sorted(by_source, key=repr)
     scale = 1.0
     if max_sources is not None and max_sources < len(sources):
@@ -302,8 +299,6 @@ class DemandHopTracker:
         if not traffic.demands:
             raise TopologyError("traffic matrix has no network demands")
         check_positive_int(chunk_size, "chunk_size")
-        import networkx as nx
-
         self._topo = topo
         self._nodes = topo.switches
         self._index = {node: i for i, node in enumerate(self._nodes)}
@@ -314,9 +309,7 @@ class DemandHopTracker:
         if store is not None:
             self._adjacency = store.csr_adjacency(topo)
         else:
-            self._adjacency = nx.to_scipy_sparse_array(
-                topo.graph, nodelist=self._nodes, weight=None, format="csr"
-            )
+            self._adjacency = topo.csr_adjacency()
         self._by_source: dict = {}
         for (u, v), units in traffic.demands.items():
             for node in (u, v):

@@ -133,7 +133,6 @@ def _sparse_fiedler_pair(
     singular matrix. Dense fallback below
     :data:`SPARSE_SPECTRAL_THRESHOLD` switches.
     """
-    import networkx as nx
     from scipy import sparse
     from scipy.sparse.linalg import eigsh
 
@@ -151,12 +150,8 @@ def _sparse_fiedler_pair(
             eigenvectors[:, order[1]],
             nodes,
         )
-    adjacency = nx.to_scipy_sparse_array(
-        topo.graph,
-        nodelist=nodes,
-        weight="capacity" if weighted else None,
-        format="csr",
-        dtype=float,
+    adjacency = topo.csr_adjacency(
+        weight="capacity" if weighted else None, dtype=float
     )
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     laplacian = sparse.diags(degrees) - adjacency

@@ -264,13 +264,6 @@ def evaluate_cell(
     )
 
 
-def _evaluate_cell_task(args: "tuple[Scenario, str | None]") -> CellResult:
-    """Module-level worker entry (must be picklable for process pools)."""
-    scenario, cache_dir = args
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return evaluate_cell(scenario, cache=cache)
-
-
 def _instance_key(scenario: Scenario) -> tuple:
     """Cells with equal keys build byte-identical intact (topo, traffic).
 
@@ -419,21 +412,6 @@ def evaluate_batch(
                 )
             )
     return results
-
-
-def _evaluate_batch_task(
-    args: "tuple[list[Scenario], str | None]",
-) -> "list[CellResult]":
-    """Module-level batch worker entry (picklable for process pools).
-
-    Shipping whole batches (instead of cells) to workers is what lets
-    construction sharing survive process boundaries: a worker holds the
-    batch's instance, artifact memo, and in-process cache memo for every
-    cell it solves.
-    """
-    scenarios, cache_dir = args
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return evaluate_batch(scenarios, cache=cache)
 
 
 @dataclass

@@ -20,27 +20,32 @@ from repro.traffic.base import TrafficMatrix
 from repro.util.hashing import stable_digest
 
 
+def _rows(triples, nodes) -> "tuple[list, dict, dict]":
+    """Rows ``(encode(u), encode(v), x)`` of ``(u, v, x)`` triples, stably
+    sorted by ``(str(encode(u)), str(encode(v)))``, plus each node's
+    encoding and the dense rank of its ``str``.
+
+    Ranks order as the ``str`` texts do (equal texts share a rank), so one
+    ``str`` and one ``encode_node`` per node replace two per row.
+    """
+    encoded = {node: encode_node(node) for node in nodes}
+    texts = {node: str(value) for node, value in encoded.items()}
+    order = {text: i for i, text in enumerate(sorted(set(texts.values())))}
+    rank = {node: order[text] for node, text in texts.items()}
+    width = len(order)
+    ordered = sorted(triples, key=lambda row: rank[row[0]] * width + rank[row[1]])
+    return [(encoded[u], encoded[v], x) for u, v, x in ordered], encoded, rank
+
+
 def topology_fingerprint(topo: Topology) -> str:
     """Digest of the topology's switches, servers, clusters, and links."""
-    switches = sorted(
-        (
-            [
-                encode_node(node),
-                topo.servers_at(node),
-                topo.cluster_of(node),
-                topo.switch_type_of(node),
-            ]
-            for node in topo.switches
-        ),
-        key=lambda entry: str(entry[0]),
-    )
-    links = sorted(
-        (
-            [encode_node(link.u), encode_node(link.v), link.capacity]
-            for link in topo.links
-        ),
-        key=lambda entry: (str(entry[0]), str(entry[1])),
-    )
+    graph = topo.graph
+    # iter(): sorting a view directly would first count it by a full pass.
+    links, encoded, rank = _rows(iter(graph.edges(data="capacity")), graph)
+    switches = [
+        (encoded[v], int(d["servers"]), d.get("cluster"), d.get("switch_type"))
+        for v, d in sorted(graph.nodes(data=True), key=lambda item: rank[item[0]])
+    ]
     return stable_digest({"switches": switches, "links": links})
 
 
@@ -51,16 +56,14 @@ def traffic_fingerprint(traffic: TrafficMatrix) -> str:
     flow solvers, so they are excluded; two workloads with identical
     switch-level aggregation share throughput results.
     """
-    demands = sorted(
-        (
-            [encode_node(u), encode_node(v), units]
-            for (u, v), units in traffic.demands.items()
-        ),
-        key=lambda entry: (str(entry[0]), str(entry[1])),
+    demands = traffic.demands
+    rows, _, _ = _rows(
+        ((u, v, units) for (u, v), units in demands.items()),
+        dict.fromkeys(node for pair in demands for node in pair),
     )
     return stable_digest(
         {
-            "demands": demands,
+            "demands": rows,
             "num_flows": traffic.num_flows,
             "num_local_flows": traffic.num_local_flows,
         }

@@ -89,10 +89,6 @@ class SimulationReport:
             raise SimulationError("report has no flows")
         return statistics.fmean(self.flow_rates.values())
 
-    @property
-    def percentile_rate(self) -> "callable":
-        raise AttributeError("use rate_percentile(q)")
-
     def rate_percentile(self, q: float) -> float:
         """q-th percentile of per-flow goodput (q in [0, 100])."""
         return _percentile(sorted(self.flow_rates.values()), q, "flows")

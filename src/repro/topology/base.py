@@ -15,9 +15,11 @@ unit-capacity edges and throughput is measured per server flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.util.validation import check_non_negative_int, check_positive
@@ -105,6 +107,36 @@ class Topology:
             self._graph[u][v]["capacity"] += capacity
         else:
             self._graph.add_edge(u, v, capacity=capacity)
+
+    def add_links(
+        self, edges: Iterable[tuple[NodeId, NodeId]], capacity: float = 1.0
+    ) -> None:
+        """Add every ``(u, v)`` of ``edges`` with one uniform ``capacity``.
+
+        The result equals calling :meth:`add_link` per edge in order — same
+        link order, repeats and existing links aggregated by the same float
+        additions — but the capacity is checked once and the graph is
+        written in one batch. Nothing is added if any edge is invalid.
+        """
+        capacity = check_positive(capacity, "capacity")
+        graph = self._graph
+        known = set(graph)
+        totals: dict = {}
+        for u, v in edges:
+            if u == v:
+                raise TopologyError(f"self-loop at switch {u!r} is not allowed")
+            for node in (u, v):
+                if node not in known:
+                    raise TopologyError(f"switch {node!r} does not exist")
+            key = (v, u) if (v, u) in totals else (u, v)
+            total = totals.get(key)
+            if total is None:
+                total = graph[u][v]["capacity"] if graph.has_edge(u, v) else 0.0
+            totals[key] = total + capacity
+        # An existing link keeps its place: networkx updates its data dict.
+        graph.add_edges_from(
+            (u, v, {"capacity": total}) for (u, v), total in totals.items()
+        )
 
     def remove_link(self, u: NodeId, v: NodeId) -> None:
         """Remove the link between ``u`` and ``v`` entirely."""
@@ -196,7 +228,7 @@ class Topology:
 
     def server_map(self) -> dict[NodeId, int]:
         """Mapping of switch id -> attached server count."""
-        return {v: int(self._graph.nodes[v]["servers"]) for v in self._graph}
+        return {v: int(d["servers"]) for v, d in self._graph.nodes(data=True)}
 
     def cluster_of(self, node: NodeId) -> "str | None":
         """Cluster label of ``node`` (``None`` if unassigned)."""
@@ -247,6 +279,40 @@ class Topology:
             out.append((u, v, cap))
             out.append((v, u, cap))
         return out
+
+    def csr_adjacency(self, weight: "str | None" = None, dtype=None):
+        """Symmetric CSR adjacency over :attr:`switches` order.
+
+        Entries are 1, or each link's ``weight`` attribute. The matrix —
+        data, indices, indptr and their dtypes — is the one
+        ``networkx.to_scipy_sparse_array(self.graph, nodelist=self.switches,
+        weight=weight, format="csr", dtype=dtype)`` returns, built from
+        numpy arrays of the edge list instead of per-edge tuples.
+        """
+        from scipy import sparse
+
+        graph = self._graph
+        if not len(graph):
+            raise nx.NetworkXError("Graph has no nodes or edges")
+        index = {node: i for i, node in enumerate(graph)}
+        size = graph.number_of_edges()
+        coords: tuple = ([], [])
+        data: "list | np.ndarray" = []
+        if size:
+            ends = np.fromiter(
+                map(index.__getitem__, chain.from_iterable(graph.edges())),
+                dtype=np.int64,
+                count=2 * size,
+            )
+            rows, cols = ends[0::2], ends[1::2]
+            coords = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+            if weight is None:
+                data = np.ones(2 * size, dtype=np.int64)
+            else:
+                values = [w for *_, w in graph.edges(data=weight, default=1)]
+                data = np.array(values + values)
+        shape = (len(graph), len(graph))
+        return sparse.coo_array((data, coords), shape=shape, dtype=dtype).tocsr()
 
     def degree_histogram(self) -> dict[int, int]:
         """Mapping of degree -> number of switches with that degree."""
@@ -328,8 +394,7 @@ class Topology:
             else:
                 count = int(servers)
             topo.add_switch(node, servers=count)
-        for u, v in edges:
-            topo.add_link(u, v, capacity=capacity)
+        topo.add_links(edges, capacity=capacity)
         return topo
 
     # ------------------------------------------------------------------

@@ -147,8 +147,7 @@ def heterogeneous_random_topology(
     edges = random_graph_from_degrees(
         network_budget, rng=rng, allow_remainder=True, clamp=True
     )
-    for u, v in edges:
-        topo.add_link(u, v, capacity=capacity)
+    topo.add_links(edges, capacity=capacity)
     return topo
 
 
@@ -369,8 +368,7 @@ def mixed_linespeed_topology(
         large_nodes = topo.nodes_in_cluster(LARGE)
         degrees = {v: high_ports_per_large for v in large_nodes}
         edges = random_graph_from_degrees(degrees, rng=rng, allow_remainder=True)
-        for u, v in edges:
-            topo.add_link(u, v, capacity=high_speed)
+        topo.add_links(edges, capacity=high_speed)
     return topo
 
 

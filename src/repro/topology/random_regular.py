@@ -69,8 +69,7 @@ def random_regular_topology(
         topo = Topology(label)
         for v in range(num_switches):
             topo.add_switch(v, servers=servers_per_switch)
-        for u, v in edges:
-            topo.add_link(u, v, capacity=capacity)
+        topo.add_links(edges, capacity=capacity)
         last = topo
         if not require_connected or network_degree == 0 or topo.is_connected():
             return topo

@@ -181,8 +181,7 @@ def two_cluster_random_topology(
             f"could not realize {cross_links} cross links after 16 attempts: "
             f"{last_error}"
         )
-    for u, v in cross_edges:
-        topo.add_link(u, v, capacity=capacity)
+    topo.add_links(cross_edges, capacity=capacity)
 
     for budgets, cross in ((budgets_large, cross_a), (budgets_small, cross_b)):
         remaining = {
@@ -193,8 +192,7 @@ def two_cluster_random_topology(
         intra_edges = random_graph_from_degrees(
             remaining, rng=rng, allow_remainder=True, clamp=True
         )
-        for u, v in intra_edges:
-            topo.add_link(u, v, capacity=capacity)
+        topo.add_links(intra_edges, capacity=capacity)
 
     return topo
 

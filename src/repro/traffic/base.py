@@ -25,11 +25,11 @@ ServerId = tuple  # (switch_id, local_index)
 
 def servers_of(server_map: Mapping[object, int]) -> list[ServerId]:
     """Enumerate server ids for a switch -> server-count mapping."""
-    out: list[ServerId] = []
-    for switch, count in server_map.items():
-        for index in range(int(count)):
-            out.append((switch, index))
-    return out
+    return [
+        (switch, index)
+        for switch, count in server_map.items()
+        for index in range(int(count))
+    ]
 
 
 @dataclass
@@ -64,17 +64,18 @@ class TrafficMatrix:
 
     def __post_init__(self) -> None:
         cleaned: dict = {}
-        for (u, v), units in self.demands.items():
+        for pair, units in self.demands.items():
+            u, v = pair
             if u == v:
                 raise TrafficError(
                     f"demand between {u!r} and itself must be recorded as a "
                     "local flow, not a network demand"
                 )
             units = float(units)
-            if units < 0:
-                raise TrafficError(f"negative demand {units} for ({u!r}, {v!r})")
             if units > 0:
-                cleaned[(u, v)] = units
+                cleaned[pair] = units
+            elif units < 0:
+                raise TrafficError(f"negative demand {units} for ({u!r}, {v!r})")
         self.demands = cleaned
         if self.num_flows < 0 or self.num_local_flows < 0:
             raise TrafficError("flow counts must be >= 0")
@@ -198,26 +199,21 @@ class TrafficMatrix:
         name: str = "custom",
     ) -> "TrafficMatrix":
         """Aggregate explicit server-level flows into a switch-level TM."""
+        kept = [(src, dst) for src, dst in pairs]
         demands: dict = {}
-        kept: list[tuple[ServerId, ServerId]] = []
-        num_flows = 0
         num_local = 0
-        for src, dst in pairs:
+        for src, dst in kept:
             if src == dst:
                 raise TrafficError(f"server {src!r} cannot send to itself")
-            num_flows += 1
-            kept.append((src, dst))
-            src_switch, _ = src
-            dst_switch, _ = dst
-            if src_switch == dst_switch:
+            key = (src[0], dst[0])
+            if key[0] == key[1]:
                 num_local += 1
-                continue
-            key = (src_switch, dst_switch)
-            demands[key] = demands.get(key, 0.0) + 1.0
+            else:
+                demands[key] = demands.get(key, 0.0) + 1.0
         return cls(
             name=name,
             demands=demands,
-            num_flows=num_flows,
+            num_flows=len(kept),
             num_local_flows=num_local,
             server_pairs=kept,
         )

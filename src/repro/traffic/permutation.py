@@ -32,7 +32,7 @@ def random_permutation_traffic(
         )
     rng = as_rng(seed)
     perm = random_derangement(rng, len(servers))
-    pairs = [(servers[i], servers[int(perm[i])]) for i in range(len(servers))]
+    pairs = list(zip(servers, [servers[j] for j in perm.tolist()]))
     tm = TrafficMatrix.from_server_pairs(
         pairs, name=name or "random-permutation"
     )

@@ -431,3 +431,95 @@ class TestInProcessMemo:
     def test_negative_memo_size_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="memo_size"):
             ResultCache(tmp_path, memo_size=-1)
+
+
+class TestFaultInjection:
+    """Damaged entries read as misses, are evicted and leave the memo
+    clean; a write that fails midway (a full disk) propagates and leaves
+    neither a temp file nor an entry behind."""
+
+    KEY = "5e" + "0" * 62
+
+    @staticmethod
+    def _truncate(path):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+    @staticmethod
+    def _non_utf8(path):
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+    @staticmethod
+    def _future_schema(path):
+        from repro.pipeline.cache import CACHE_SCHEMA_VERSION
+
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["schema_version"] = CACHE_SCHEMA_VERSION + 1
+        path.write_text(json.dumps(entry), encoding="utf-8")
+
+    @pytest.mark.parametrize("damage", ["_truncate", "_non_utf8", "_future_schema"])
+    @pytest.mark.parametrize("entry_kind", [None, "routes"])
+    def test_damaged_entry_is_evicted_miss(self, tmp_path, damage, entry_kind):
+        from repro.flow.result import ThroughputResult
+
+        writer = ResultCache(tmp_path)
+        if entry_kind is None:
+            writer.put(self.KEY, ThroughputResult(throughput=1.5))
+        else:
+            writer.put_payload(self.KEY, entry_kind, {"value": 1})
+        path = writer._path(self.KEY)
+        getattr(self, damage)(path)
+        reader = ResultCache(tmp_path)
+        for _ in range(2):  # the second read must not find a memoized copy
+            if entry_kind is None:
+                assert reader.get(self.KEY) is None
+            else:
+                assert reader.get_payload(self.KEY, kind=entry_kind) is None
+            assert not path.exists()
+        stats = reader.stats()
+        assert (stats["hits"], stats["misses"], stats["memo_entries"]) == (0, 2, 0)
+
+    def test_payload_of_the_wrong_kind_is_evicted_miss(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.put_payload(self.KEY, "routes", {"value": 1})
+        path = writer._path(self.KEY)
+        reader = ResultCache(tmp_path)
+        assert reader.get_payload(self.KEY, kind="other") is None
+        assert not path.exists()
+        # The right kind now misses too: the entry is gone, not memoized.
+        assert reader.get_payload(self.KEY, kind="routes") is None
+        assert reader.stats()["memo_entries"] == 0
+
+    def test_payload_entry_read_as_a_result_is_evicted_miss(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.put_payload(self.KEY, "routes", {"value": 1})
+        reader = ResultCache(tmp_path)
+        assert reader.get(self.KEY) is None
+        assert not writer._path(self.KEY).exists()
+        assert reader.stats()["memo_entries"] == 0
+
+    @pytest.mark.parametrize("method", ["put", "put_payload"])
+    def test_full_disk_midway_through_put(self, tmp_path, monkeypatch, method):
+        import errno
+
+        from repro.flow.result import ThroughputResult
+        from repro.pipeline import cache as cache_module
+
+        def full_disk(entry, handle):
+            handle.write(json.dumps(entry)[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(cache_module.json, "dump", full_disk)
+        with pytest.raises(OSError) as failure:
+            if method == "put":
+                cache.put(self.KEY, ThroughputResult(throughput=1.5))
+            else:
+                cache.put_payload(self.KEY, "routes", {"value": 1})
+        monkeypatch.undo()
+        assert failure.value.errno == errno.ENOSPC
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert self.KEY not in cache
+        assert cache.get(self.KEY) is None
+        assert cache.get_payload(self.KEY, kind="routes") is None
+        assert cache.stats()["memo_entries"] == 0
