@@ -13,6 +13,8 @@ affect the solve.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.flow.solvers import SolverConfig, get_solver
 from repro.topology.base import Topology
 from repro.topology.serialization import encode_node
@@ -20,32 +22,34 @@ from repro.traffic.base import TrafficMatrix
 from repro.util.hashing import stable_digest
 
 
-def _rows(triples, nodes) -> "tuple[list, dict, dict]":
-    """Rows ``(encode(u), encode(v), x)`` of ``(u, v, x)`` triples, stably
-    sorted by ``(str(encode(u)), str(encode(v)))``, plus each node's
-    encoding and the dense rank of its ``str``.
+def _ranks(nodes) -> "tuple[dict, dict, int]":
+    """Each node's :func:`encode_node` value, the dense rank of its ``str``
+    and the number of ranks.
 
-    Ranks order as the ``str`` texts do (equal texts share a rank), so one
-    ``str`` and one ``encode_node`` per node replace two per row.
+    Ranks order as the ``str`` texts do (equal texts share a rank), so
+    sorting rows by ``rank(u) * width + rank(v)`` is the stable sort by
+    ``(str(encode(u)), str(encode(v)))``, with one ``str`` per node.
     """
     encoded = {node: encode_node(node) for node in nodes}
     texts = {node: str(value) for node, value in encoded.items()}
     order = {text: i for i, text in enumerate(sorted(set(texts.values())))}
-    rank = {node: order[text] for node, text in texts.items()}
-    width = len(order)
-    ordered = sorted(triples, key=lambda row: rank[row[0]] * width + rank[row[1]])
-    return [(encoded[u], encoded[v], x) for u, v, x in ordered], encoded, rank
+    return encoded, {node: order[text] for node, text in texts.items()}, len(order)
 
 
 def topology_fingerprint(topo: Topology) -> str:
     """Digest of the topology's switches, servers, clusters, and links."""
     graph = topo.graph
-    # iter(): sorting a view directly would first count it by a full pass.
-    links, encoded, rank = _rows(iter(graph.edges(data="capacity")), graph)
+    encoded, rank, width = _ranks(graph)
     switches = [
         (encoded[v], int(d["servers"]), d.get("cluster"), d.get("switch_type"))
         for v, d in sorted(graph.nodes(data=True), key=lambda item: rank[item[0]])
     ]
+    # iter(): sorting a view directly would first count it by a full pass.
+    edges = sorted(
+        iter(graph.edges(data="capacity")),
+        key=lambda edge: rank[edge[0]] * width + rank[edge[1]],
+    )
+    links = [(encoded[u], encoded[v], capacity) for u, v, capacity in edges]
     return stable_digest({"switches": switches, "links": links})
 
 
@@ -57,13 +61,14 @@ def traffic_fingerprint(traffic: TrafficMatrix) -> str:
     switch-level aggregation share throughput results.
     """
     demands = traffic.demands
-    rows, _, _ = _rows(
-        ((u, v, units) for (u, v), units in demands.items()),
-        dict.fromkeys(node for pair in demands for node in pair),
+    encoded, rank, width = _ranks(dict.fromkeys(chain.from_iterable(demands)))
+    items = sorted(
+        demands.items(),
+        key=lambda item: rank[item[0][0]] * width + rank[item[0][1]],
     )
     return stable_digest(
         {
-            "demands": rows,
+            "demands": [(encoded[u], encoded[v], x) for (u, v), x in items],
             "num_flows": traffic.num_flows,
             "num_local_flows": traffic.num_local_flows,
         }
