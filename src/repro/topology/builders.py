@@ -38,43 +38,43 @@ class _AliveIndex:
     is ``list(free)`` — the initial node order minus exhausted nodes.
     Materializing that list per placed edge is the O(N) factor that made
     N = 100,000 builds take minutes. This index keeps the initial positions
-    of the live nodes in ascending order instead: ``select(k)`` is two list
-    reads and ``remove`` a bisect plus a C-level ``del``. Because it
-    preserves that exact ordering the RNG draws — and therefore the sampled
-    graph — are byte-identical to the list-based fill (the builder goldens
-    pin this).
+    of the live nodes in ascending order instead: the ``k``-th node of
+    ``list(free)`` is ``order[live[k]]``, and ``remove`` is a bisect plus a
+    C-level ``del``. Because it preserves that exact ordering the RNG
+    draws — and therefore the sampled graph — are byte-identical to the
+    list-based fill (the builder goldens pin this).
     """
 
-    __slots__ = ("_order", "_pos", "live")
+    __slots__ = ("order", "_pos", "live")
 
     def __init__(self, nodes) -> None:
-        self._order = list(nodes)
-        self._pos = {node: i for i, node in enumerate(self._order)}
-        self.live = list(range(len(self._order)))
+        self.order = list(nodes)
+        self._pos = {node: i for i, node in enumerate(self.order)}
+        self.live = list(range(len(self.order)))
 
     def remove(self, node) -> None:
         live = self.live
         del live[bisect_left(live, self._pos[node])]
 
-    def select(self, k: int):
-        """The node at position ``k`` of ``list(free)`` (0-based)."""
-        return self._order[self.live[k]]
-
 
 class _FreeDict(dict):
     """Free-port budgets with a live positional index over the key order.
 
-    Keys are only ever *removed* after construction (a budget reaching 0
-    deletes its entry), so the index never needs insertion support.
+    Budgets only shrink after construction, through :meth:`spend`, which
+    deletes a node's entry (and its index slot) when its budget hits 0.
     """
 
     def __init__(self, items) -> None:
         super().__init__(items)
         self.alive = _AliveIndex(self)
 
-    def __delitem__(self, node) -> None:
-        super().__delitem__(node)
-        self.alive.remove(node)
+    def spend(self, node, amount: int = 1) -> None:
+        left = self[node] - amount
+        if left:
+            self[node] = left
+        else:
+            del self[node]
+            self.alive.remove(node)
 
 
 def is_graphical(degrees: Sequence[int]) -> bool:
@@ -102,11 +102,14 @@ def is_graphical(degrees: Sequence[int]) -> bool:
 
 
 class _EdgeSet:
-    """Mutable simple-graph edge set with O(1) adjacency queries."""
+    """Mutable simple-graph edge set over fixed nodes: adjacency sets."""
 
-    def __init__(self) -> None:
-        self.edges: set[frozenset] = set()
-        self.adjacency: dict[object, set] = {}
+    def __init__(self, nodes) -> None:
+        self.adjacency: dict[object, set] = {node: set() for node in nodes}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
 
     def has(self, u, v) -> bool:
         return v in self.adjacency.get(u, ())
@@ -114,20 +117,18 @@ class _EdgeSet:
     def add(self, u, v) -> None:
         if u == v:
             raise GraphConstructionError(f"attempted self-loop at {u!r}")
-        key = frozenset((u, v))
-        if key in self.edges:
+        if self.has(u, v):
             raise GraphConstructionError(f"attempted parallel edge {u!r}-{v!r}")
-        self.edges.add(key)
-        self.adjacency.setdefault(u, set()).add(v)
-        self.adjacency.setdefault(v, set()).add(u)
+        self.adjacency[u].add(v)
+        self.adjacency[v].add(u)
+        self.size += 1
 
     def remove(self, u, v) -> None:
-        key = frozenset((u, v))
-        if key not in self.edges:
+        if not self.has(u, v):
             raise GraphConstructionError(f"no edge {u!r}-{v!r} to remove")
-        self.edges.remove(key)
         self.adjacency[u].discard(v)
         self.adjacency[v].discard(u)
+        self.size -= 1
 
     def neighbors(self, u) -> set:
         return self.adjacency.get(u, set())
@@ -138,15 +139,17 @@ class _EdgeSet:
         # (content-addressed caches key on it). Each edge is ``(u, v)``
         # with ``repr(u) <= repr(v)``, and the list is stably sorted by
         # ``repr((u, v))``, spelled from one cached ``repr`` per node.
+        # Distinct nodes with equal reprs keep adjacency order.
         text = {node: repr(node) for node in self.adjacency}
-        pairs, keys = [], []
-        for edge in self.edges:
-            u, v = edge
-            tu, tv = text[u], text[v]
-            if tv < tu:
-                u, v, tu, tv = v, u, tv, tu
-            pairs.append((u, v))
-            keys.append(f"({tu}, {tv})")
+        pairs, keys, done = [], [], set()
+        for u, neighbors in self.adjacency.items():
+            tu = text[u]
+            for v in neighbors:
+                tv = text[v]
+                if tu < tv or (tu == tv and v not in done):
+                    pairs.append((u, v))
+                    keys.append(f"({tu}, {tv})")
+            done.add(u)
         return [pairs[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
@@ -226,11 +229,12 @@ def _fill_random_graph(
     degrees: Mapping[object, int], rng: np.random.Generator
 ) -> tuple[_EdgeSet, dict]:
     """One attempt of the incremental random fill; returns edges + leftovers."""
-    edge_set = _EdgeSet()
+    edge_set = _EdgeSet(degrees)
     free = _FreeDict(
         (node, budget) for node, budget in degrees.items() if budget > 0
     )
-    select, live = free.alive.select, free.alive.live
+    adjacency = edge_set.adjacency
+    order, live = free.alive.order, free.alive.live
     draw = rng.integers
     stalls = 0
     while True:
@@ -248,9 +252,14 @@ def _fill_random_graph(
             continue
         # Two scalar draws consume the bit stream exactly as one size=2
         # draw does, at well under half the cost.
-        u, v = select(draw(count)), select(draw(count))
-        if u != v and not edge_set.has(u, v):
-            _consume(edge_set, free, u, v)
+        u, v = order[live[draw(count)]], order[live[draw(count)]]
+        if u != v and v not in adjacency[u]:
+            # _consume without edge_set.add's re-checks: the hot path.
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            edge_set.size += 1
+            free.spend(u)
+            free.spend(v)
             stalls = 0
             continue
         stalls += 1
@@ -265,16 +274,14 @@ def _fill_random_graph(
     return edge_set, dict(free)
 
 
-def _consume(edge_set: _EdgeSet, free: dict, u, v) -> None:
+def _consume(edge_set: _EdgeSet, free: _FreeDict, u, v) -> None:
     edge_set.add(u, v)
-    for node in (u, v):
-        free[node] -= 1
-        if free[node] == 0:
-            del free[node]
+    free.spend(u)
+    free.spend(v)
 
 
 def _connect_any_free_pair(
-    edge_set: _EdgeSet, free: dict, rng: np.random.Generator, nodes: list
+    edge_set: _EdgeSet, free: _FreeDict, rng: np.random.Generator, nodes: list
 ) -> bool:
     """Exhaustively look for any connectable pair among free-port nodes."""
     order = list(nodes)
@@ -292,7 +299,7 @@ def _connect_any_free_pair(
 
 
 def _rewire_for_progress(
-    edge_set: _EdgeSet, free: dict, rng: np.random.Generator, nodes: list
+    edge_set: _EdgeSet, free: _FreeDict, rng: np.random.Generator, nodes: list
 ) -> bool:
     """Apply one Jellyfish rewiring move so the greedy fill can continue.
 
@@ -303,14 +310,8 @@ def _rewire_for_progress(
     adjacent. Find an edge ``(a, b)`` disjoint from them with ``(u, a)`` and
     ``(v, b)`` absent; replace it with those two edges.
     """
-    if not edge_set.edges:
+    if not edge_set:
         return False
-
-    def spend(node, amount: int) -> None:
-        free[node] -= amount
-        if free[node] == 0:
-            del free[node]
-
     multi = [node for node in nodes if free.get(node, 0) >= 2]
     rng.shuffle(multi)
     edge_pairs = edge_set.as_pairs()
@@ -325,7 +326,7 @@ def _rewire_for_progress(
             edge_set.remove(u, v)
             edge_set.add(x, u)
             edge_set.add(x, v)
-            spend(x, 2)
+            free.spend(x, 2)
             return True
     singles = [node for node in nodes if free.get(node, 0) >= 1]
     if len(singles) >= 2:
@@ -342,8 +343,8 @@ def _rewire_for_progress(
                     edge_set.remove(x, y)
                     edge_set.add(u, x)
                     edge_set.add(v, y)
-                    spend(u, 1)
-                    spend(v, 1)
+                    free.spend(u)
+                    free.spend(v)
                     return True
     return False
 
@@ -410,7 +411,7 @@ def _fill_bipartite(
     forbidden: set,
 ):
     """One attempt at the bipartite random fill with a rewiring fallback."""
-    edge_set = _EdgeSet()
+    edge_set = _EdgeSet({**stubs_a, **stubs_b})
     side_a_all = set(stubs_a)
     free_a = {node: int(v) for node, v in stubs_a.items() if v > 0}
     free_b = {node: int(v) for node, v in stubs_b.items() if v > 0}
@@ -482,7 +483,7 @@ def _bipartite_rewire(
     that ``(u, y)`` and ``(x, v)`` are both available; replace it with those
     two edges, consuming one stub on each side.
     """
-    if not free_a or not free_b or not edge_set.edges:
+    if not free_a or not free_b or not edge_set:
         return False
     u = next(iter(free_a))
     v = next(iter(free_b))

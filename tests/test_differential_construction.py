@@ -117,13 +117,21 @@ class _RefFreeDict(dict):
         super().__delitem__(node)
         self.alive.remove(node)
 
+    def spend(self, node, amount: int = 1) -> None:
+        self[node] -= amount
+        if self[node] == 0:
+            del self[node]
+
 
 class _RefEdgeSet:
     """Frozenset membership and the per-edge ``repr`` sort."""
 
-    def __init__(self) -> None:
+    def __init__(self, nodes=()) -> None:
         self.edges: set = set()
         self.adjacency: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.edges)
 
     def has(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
@@ -158,7 +166,7 @@ class _RefEdgeSet:
 def _ref_fill_random_graph(degrees, rng):
     """The fill loop with one ``size=2`` draw per candidate pair; the
     scan and rewire moves are shared, unchanged, with the library."""
-    edge_set = _RefEdgeSet()
+    edge_set = _RefEdgeSet(degrees)
     free = _RefFreeDict(
         (node, budget) for node, budget in degrees.items() if budget > 0
     )
