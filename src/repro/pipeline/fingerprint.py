@@ -44,12 +44,10 @@ def topology_fingerprint(topo: Topology) -> str:
         (encoded[v], int(d["servers"]), d.get("cluster"), d.get("switch_type"))
         for v, d in sorted(graph.nodes(data=True), key=lambda item: rank[item[0]])
     ]
-    # iter(): sorting a view directly would first count it by a full pass.
     edges = sorted(
-        iter(graph.edges(data="capacity")),
-        key=lambda edge: rank[edge[0]] * width + rank[edge[1]],
+        topo.link_items(), key=lambda edge: rank[edge[0]] * width + rank[edge[1]]
     )
-    links = [(encoded[u], encoded[v], capacity) for u, v, capacity in edges]
+    links = [(encoded[u], encoded[v], data["capacity"]) for u, v, data in edges]
     return stable_digest({"switches": switches, "links": links})
 
 

@@ -15,7 +15,6 @@ unit-capacity edges and throughput is measured per server flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -184,15 +183,26 @@ class Topology:
     @property
     def links(self) -> list[Link]:
         """All undirected links with their (aggregated) capacities."""
-        return [
-            Link(u, v, data["capacity"])
-            for u, v, data in self._graph.edges(data=True)
-        ]
+        return [Link(u, v, data["capacity"]) for u, v, data in self.link_items()]
+
+    def link_items(self) -> Iterator[tuple[NodeId, NodeId, dict]]:
+        """``(u, v, attributes)`` per link, in ``graph.edges`` order.
+
+        Read from the adjacency dicts: networkx's cached edge view holds
+        its graph, and that reference cycle keeps a dropped topology in
+        memory until the next full garbage collection.
+        """
+        seen: set = set()
+        for u, neighbors in self._graph.adjacency():
+            for v, data in neighbors.items():
+                if v not in seen:
+                    yield u, v, data
+            seen.add(u)
 
     @property
     def total_capacity(self) -> float:
         """Total network capacity counting both directions (paper's ``C``)."""
-        return 2.0 * sum(d["capacity"] for _, _, d in self._graph.edges(data=True))
+        return 2.0 * sum(d["capacity"] for _, _, d in self.link_items())
 
     def has_switch(self, node: NodeId) -> bool:
         """Whether ``node`` is a switch in this topology."""
@@ -274,7 +284,7 @@ class Topology:
         :attr:`total_capacity`.
         """
         out: list[tuple[NodeId, NodeId, float]] = []
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, data in self.link_items():
             cap = float(data["capacity"])
             out.append((u, v, cap))
             out.append((v, u, cap))
@@ -295,21 +305,17 @@ class Topology:
         if not len(graph):
             raise nx.NetworkXError("Graph has no nodes or edges")
         index = {node: i for i, node in enumerate(graph)}
-        size = graph.number_of_edges()
+        links = list(self.link_items())
         coords: tuple = ([], [])
         data: "list | np.ndarray" = []
-        if size:
-            ends = np.fromiter(
-                map(index.__getitem__, chain.from_iterable(graph.edges())),
-                dtype=np.int64,
-                count=2 * size,
-            )
-            rows, cols = ends[0::2], ends[1::2]
+        if links:
+            ends = np.array([(index[u], index[v]) for u, v, _ in links])
+            rows, cols = ends[:, 0], ends[:, 1]
             coords = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
             if weight is None:
-                data = np.ones(2 * size, dtype=np.int64)
+                data = np.ones(2 * len(links), dtype=np.int64)
             else:
-                values = [w for *_, w in graph.edges(data=weight, default=1)]
+                values = [attrs.get(weight, 1) for *_, attrs in links]
                 data = np.array(values + values)
         shape = (len(graph), len(graph))
         return sparse.coo_array((data, coords), shape=shape, dtype=dtype).tocsr()
@@ -338,7 +344,7 @@ class Topology:
         if overlap:
             raise TopologyError(f"node sets overlap: {sorted(map(repr, overlap))}")
         total = 0.0
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, data in self.link_items():
             if (u in set_a and v in set_b) or (u in set_b and v in set_a):
                 total += 2.0 * float(data["capacity"])
         return total
@@ -406,7 +412,7 @@ class Topology:
         Checks: no self-loops, all capacities positive, all server counts
         non-negative integers.
         """
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, data in self.link_items():
             if u == v:
                 raise TopologyError(f"self-loop at {u!r}")
             cap = data.get("capacity")
