@@ -12,7 +12,8 @@ states, node and edge order with their data, demand order, server pairs
 and both digests — across RRG, heterogeneous and two-cluster builders,
 odd and dense budgets that stall and rewire, int, tuple and string node
 ids, every numpy bit generator, clusters and switch types, aggregated
-parallel capacities and failure-degraded fabrics.
+parallel capacities and failure-degraded fabrics. The CSR adjacency is
+compared array by array with ``networkx.to_scipy_sparse_array``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.topology.heterogeneous import (
 from repro.topology.random_regular import random_regular_topology
 from repro.topology.serialization import encode_node
 from repro.topology.two_cluster import two_cluster_random_topology
-from repro.traffic.base import TrafficMatrix, servers_of
+from repro.traffic.base import TrafficMatrix
 from repro.traffic.permutation import random_permutation_traffic
 from repro.util.hashing import stable_digest
 from repro.util.rng import as_rng, random_derangement
@@ -164,8 +165,9 @@ class _RefEdgeSet:
 
 
 def _ref_fill_random_graph(degrees, rng):
-    """The fill loop with one ``size=2`` draw per candidate pair; the
-    scan and rewire moves are shared, unchanged, with the library."""
+    """The fill loop with one ``size=2`` draw per candidate pair. The
+    scan and rewire moves are the library's: they touch edges and budgets
+    only through the reference classes' methods."""
     edge_set = _RefEdgeSet(degrees)
     free = _RefFreeDict(
         (node, budget) for node, budget in degrees.items() if budget > 0
@@ -597,7 +599,9 @@ def test_from_server_pairs_matches_reference(pairs):
 @SETTINGS
 @given(
     demands=st.dictionaries(
-        st.tuples(st.sampled_from(["a", "b", 3, ("c", 1)]), st.sampled_from(["a", 4, "d"])),
+        st.tuples(
+            st.sampled_from(["a", "b", 3, ("c", 1)]), st.sampled_from(["a", 4, "d"])
+        ),
         st.one_of(
             st.integers(-1, 3),
             st.floats(-1.0, 5.0),
@@ -657,14 +661,6 @@ def test_fingerprint_ties_between_equal_texts_keep_insertion_order():
         )
 
 
-def test_servers_of_order():
-    assert servers_of({"a": 2, 3: 0, ("t", 1): 1}) == [
-        ("a", 0),
-        ("a", 1),
-        (("t", 1), 0),
-    ]
-
-
 # ----------------------------------------------------------------------
 # CSR adjacency
 # ----------------------------------------------------------------------
@@ -691,9 +687,9 @@ def test_csr_adjacency_matches_networkx(kind, count, picks, capacities):
     topo = Topology("t")
     for node in reversed(nodes):
         topo.add_switch(node)
+    pairs = [(a % count, b % count) for a, b in picks]
     topo.add_links(
-        [(nodes[a % count], nodes[b % count]) for a, b in picks if a % count != b % count],
-        capacity=capacities,
+        [(nodes[a], nodes[b]) for a, b in pairs if a != b], capacity=capacities
     )
     for weight, dtype in ((None, None), ("capacity", float), ("capacity", None)):
         ref = nx.to_scipy_sparse_array(
